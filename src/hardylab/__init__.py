@@ -44,7 +44,6 @@ from .sampled import (
     SampledComplexFunction,
     TailModel,
     estimate_tail,
-    lorentzian_grid,
     uniform_grid,
 )
 from .quadrature import (
@@ -104,7 +103,6 @@ from .transition import (
     amplitude_results_to_csv,
     amplitude_results_to_json,
     fit_exponential_rate,
-    set_threads,
     transition_amplitude,
     transition_probability,
 )

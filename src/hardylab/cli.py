@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 
 import click
@@ -38,7 +37,7 @@ from .hardy import (
     hardy_criterion,
 )
 from .models import AnalyticModel, HalfPlane
-from .sampled import SampledComplexFunction, estimate_tail, uniform_grid
+from .sampled import SampledComplexFunction, _read_csv, _write_csv, estimate_tail, uniform_grid
 from .states import (
     EnergyWaveFunction,
     LorentzianSpec,
@@ -100,15 +99,6 @@ def _echo_config(command, resolved):
 
 def _half_plane(name: str) -> HalfPlane:
     return HalfPlane(name.lower())
-
-
-def _apply_threads(threads):
-    if threads is None:
-        threads = os.environ.get("HARDYLAB_THREADS")
-    if threads is not None:
-        tr.set_threads(int(threads))
-        return int(threads)
-    return 1
 
 
 @click.group()
@@ -316,10 +306,7 @@ def evolve_cmd(config_path, t_flag, propagator, output, distribution_csv, grid_m
         npts = int(_resolve(grid_points, cfg, "grid_points", 2001))
         grid = np.linspace(lo, hi, npts)
         dist, norm = energy_distribution(out, grid)
-        with open(distribution_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("E,f\n")
-            for e, v in zip(grid, dist):
-                fh.write(f"{float(e)!r},{float(v)!r}\n")
+        _write_csv(distribution_csv, "E,f", zip(grid.tolist(), dist.tolist()))
         click.echo(json.dumps({"norm": norm}))
 
 
@@ -335,17 +322,15 @@ def evolve_cmd(config_path, t_flag, propagator, output, distribution_csv, grid_m
 @click.option("--method", type=click.Choice(["auto", "pole_residue", "quadrature"]), default=None)
 @click.option("--fit", is_flag=True, help="append a fitted exponential rate")
 @click.option("--fit-window", type=str, default=None, help="lo,hi fit window in t")
-@click.option("--threads", type=int, default=None)
 @click.option("--output", "-o", type=click.Path(), required=True)
 @_handle_errors
-def decay_cmd(config_path, t_min, t_max, t_points, method, fit, fit_window, threads, output):
+def decay_cmd(config_path, t_min, t_max, t_points, method, fit, fit_window, output):
     """Transition probability P(t) for a state/observable pair and an S-matrix."""
     cfg = _load_config(config_path)
     lo = float(_resolve(t_min, cfg, "t_min", 0.0))
     hi = float(_resolve(t_max, cfg, "t_max", 40.0))
     npts = int(_resolve(t_points, cfg, "t_points", 201))
     meth = _resolve(method, cfg, "method", "auto")
-    nthreads = _apply_threads(threads)
     if lo < 0 or hi < lo:
         raise ValueError(f"invalid time range [{lo}, {hi}]")
 
@@ -359,7 +344,6 @@ def decay_cmd(config_path, t_min, t_max, t_points, method, fit, fit_window, thre
             "t_max": hi,
             "t_points": npts,
             "method": meth,
-            "threads": nthreads,
             "state": cfg["state"],
             "observable": cfg["observable"],
             "smatrix": cfg.get("smatrix", {"channels": []}),
@@ -443,26 +427,7 @@ def ensemble_cmd(
 
 
 def _read_theory_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CsvFormatError(1, "empty theory file")
-    header = lines[0].strip().split(",")
-    try:
-        t_col = header.index("t")
-        p_col = header.index("p") if "p" in header else header.index("survival")
-    except ValueError:
-        raise CsvFormatError(1, "theory CSV needs 't' and 'p' (or 'survival') columns") from None
-    ts, ps = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            ts.append(float(parts[t_col]))
-            ps.append(float(parts[p_col]))
-        except (ValueError, IndexError):
-            raise CsvFormatError(lineno, f"bad row {line!r}") from None
+    _, (ts, ps) = _read_csv(path, ("t", ("p", "survival")))
     return np.array(ts), np.array(ps)
 
 

@@ -20,12 +20,12 @@ import numpy as np
 
 from .errors import (
     CausalityViolation,
-    CsvFormatError,
     EmptyEnsemble,
     GridMismatch,
     InvalidRate,
     InvalidSchemeLength,
 )
+from .sampled import _read_csv, _write_csv
 
 EVENTS_CSV_HEADER = "i,T_prep,T_reg,t"
 SURVIVAL_CSV_HEADER = "t,survival,err_lo,err_hi"
@@ -232,12 +232,8 @@ class SurvivalCurve:
     z: float
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(SURVIVAL_CSV_HEADER + "\n")
-            for t, s, lo, hi in zip(self.t, self.survival, self.lower, self.upper):
-                fh.write(
-                    f"{float(t)!r},{float(s)!r},{float(s - lo)!r},{float(hi - s)!r}\n"
-                )
+        columns = (self.t, self.survival, self.survival - self.lower, self.upper - self.survival)
+        _write_csv(path, SURVIVAL_CSV_HEADER, zip(*(c.tolist() for c in columns)))
 
 
 def _wilson_bounds(k: int, n: int, z: float):
@@ -334,39 +330,17 @@ def compare_to_theory(records, theory, t_grid) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 def events_to_csv(records, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(EVENTS_CSV_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.index},{float(r.t_prep)!r},{float(r.t_reg)!r},{float(r.t_param)!r}\n"
-            )
+    rows = ((int(r.index), r.t_prep, r.t_reg, r.t_param) for r in records)
+    _write_csv(path, EVENTS_CSV_HEADER, rows)
 
 
 def events_from_csv(path) -> list[LabEventRecord]:
     """Parse an events CSV; raises CausalityViolation listing bad indices."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CsvFormatError(1, "empty file")
-    if lines[0].strip() != EVENTS_CSV_HEADER:
-        raise CsvFormatError(1, f"expected header '{EVENTS_CSV_HEADER}'")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise CsvFormatError(lineno, f"expected 4 fields, got {len(parts)}")
-        try:
-            rows.append(
-                (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]))
-            )
-        except ValueError:
-            raise CsvFormatError(lineno, f"non-numeric field in {line!r}") from None
-    bad = [idx for idx, t_prep, t_reg, _ in rows if t_reg < t_prep]
+    _, (index, t_prep, t_reg, t) = _read_csv(path, EVENTS_CSV_HEADER, (int, float, float, float))
+    bad = [i for i, prep, reg in zip(index, t_prep, t_reg) if reg < prep]
     if bad:
         raise CausalityViolation(bad)
-    return [LabEventRecord(idx, tp, tr, t) for idx, tp, tr, t in rows]
+    return list(map(LabEventRecord, index, t_prep, t_reg, t))
 
 
 def events_to_json(records) -> str:

@@ -36,7 +36,7 @@ from .quadrature import (
     grid_weights,
     squared_tail_integral,
 )
-from .sampled import SampledComplexFunction, TailModel, uniform_grid
+from .sampled import SampledComplexFunction, TailModel, is_uniform, uniform_grid
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
 
@@ -313,8 +313,7 @@ def hilbert_transform(
 
 def _hilbert_fft(x, part, oversample: int = 8):
     """FFT discrete Hilbert transform; fast but assumes periodic-ish data."""
-    d = np.diff(x)
-    if np.max(np.abs(d - d[0])) > 1e-9 * abs(d[0]):
+    if not is_uniform(x):
         raise ValueError("fft path needs a uniform grid")
     n = x.size
     nfft = 1 << int(np.ceil(np.log2(oversample * n)))

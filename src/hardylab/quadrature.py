@@ -30,7 +30,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .models import AnalyticModel
-from .sampled import SampledComplexFunction
+from .sampled import SampledComplexFunction, is_uniform
 
 
 class Method(enum.Enum):
@@ -60,13 +60,11 @@ class QuadratureSpec:
 class OscillatorySpec:
     """Controls the plain-vs-Filon switch for e^{-i s x} integrals.
 
-    `frequency` optionally pins the transform variable s; when None the value
-    passed to the integral call is used.  Filon weights take over once
-    |s| * (grid spacing) exceeds switch_threshold, below which plain
-    quadrature of the oscillating samples is already accurate.
+    Filon weights take over once |s| * (grid spacing) exceeds
+    switch_threshold, below which plain quadrature of the oscillating samples
+    is already accurate.
     """
 
-    frequency: float | None = None
     switch_threshold: float = 0.05
 
     def __post_init__(self):
@@ -394,8 +392,7 @@ def grid_weights(grid: np.ndarray, method: Method) -> np.ndarray:
     """
     n = grid.size
     d = np.diff(grid)
-    uniform = np.max(np.abs(d - d[0])) <= 1e-9 * abs(d[0])
-    if method is Method.ADAPTIVE_SIMPSON and uniform and n >= 3:
+    if method is Method.ADAPTIVE_SIMPSON and is_uniform(grid) and n >= 3:
         h = float(d[0])
         if n % 2 == 1:
             return _simpson_weights(n, h)
@@ -555,16 +552,14 @@ def fourier_integral_sampled(x, g, s, method="auto", switch_threshold=0.5):
     """int e^{-i s x} g(x) dx over the grid with a Richardson error estimate."""
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=complex)
-    d = np.diff(x)
-    uniform = np.max(np.abs(d - d[0])) <= 1e-9 * abs(d[0])
     if method == "auto":
-        method = "filon" if abs(s) * float(np.max(d)) > switch_threshold else "plain"
+        method = "filon" if abs(s) * float(np.max(np.diff(x))) > switch_threshold else "plain"
     if method == "plain":
         full = plain_oscillatory(x, g, s)
         half = plain_oscillatory(x[::2], g[::2], s)
         return ValueWithError(full, abs(full - half) / 3.0)
     if method == "filon":
-        if uniform:
+        if is_uniform(x):
             full = filon_integral(x, g, s)
             half = filon_integral(x[::2], g[::2], s)
             return ValueWithError(full, abs(full - half) / 5.0)
@@ -574,12 +569,15 @@ def fourier_integral_sampled(x, g, s, method="auto", switch_threshold=0.5):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _model_default_grid(g: AnalyticModel, n: int = 16385) -> np.ndarray:
-    lo = 0.0
-    hi = 10.0
-    for p in g.poles():
-        hi = max(hi, p.real + 50.0 * max(2.0 * abs(p.imag), 0.2))
-    return np.linspace(lo, hi, n)
+def default_energy_grid(poles, n: int, hi: float = 10.0) -> np.ndarray:
+    """Uniform grid on [0, E_max] for integrands with the given poles.
+
+    E_max reaches 50 widths 2|Im p| (at least 0.5 each) past every pole, and
+    at least hi.
+    """
+    for p in poles:
+        hi = max(hi, p.real + 50.0 * max(2.0 * abs(p.imag), 0.5))
+    return np.linspace(0.0, hi, n)
 
 
 def oscillatory_integral(
@@ -600,7 +598,6 @@ def oscillatory_integral(
     the semigroup boundary, not a numerics failure.
     """
     spec = spec or OscillatorySpec()
-    s = spec.frequency if spec.frequency is not None else t
     if t < 0:
         raise NegativeTime(f"t = {t} < 0")
 
@@ -609,14 +606,14 @@ def oscillatory_integral(
             terms = [(c, p, 1) for c, p in g.as_terms()]
             if not terms:
                 return ValueWithError(0j, 0.0)
-            value = rational_halfline_fourier(terms, s)
+            value = rational_halfline_fourier(terms, t)
             parts = (
-                [abs(c) * abs(rational_halfline_fourier([(1, p, 1)], s)) for c, p in g.as_terms()]
-                if s > 0
+                [abs(c) * abs(rational_halfline_fourier([(1, p, 1)], t)) for c, p in g.as_terms()]
+                if t > 0
                 else [abs(value)]
             )
             return ValueWithError(value, 1e-13 * max(1.0, sum(parts)))
-        sampled = g.sample(_model_default_grid(g) if grid is None else np.asarray(grid))
+        sampled = g.sample(default_energy_grid(g.poles(), 16385) if grid is None else np.asarray(grid))
         return oscillatory_integral(sampled, t, spec, method=method)
 
     if not isinstance(g, SampledComplexFunction):
@@ -631,7 +628,7 @@ def oscillatory_integral(
         raise NonDecayingIntegrand(f"tail exponent {g.tail.p} <= 1 is not integrable")
 
     core = fourier_integral_sampled(
-        g.grid, g.values, s, method=method, switch_threshold=spec.switch_threshold
+        g.grid, g.values, t, method=method, switch_threshold=spec.switch_threshold
     )
     tail_exp = fit_tail_expansion(g, +1)
     tail_val = 0j
@@ -640,7 +637,7 @@ def oscillatory_integral(
     )
     last = 0.0
     for q, c in zip(tail_exp.exponents, tail_exp.coeffs):
-        piece = c * power_tail_fourier(q, tail_exp.edge, s)
+        piece = c * power_tail_fourier(q, tail_exp.edge, t)
         tail_val += piece
         last = abs(piece)
     # fitted expansion is blind past its last exponent

@@ -94,11 +94,6 @@ class SampledComplexFunction:
     def span(self) -> tuple[float, float]:
         return float(self.grid[0]), float(self.grid[-1])
 
-    @property
-    def is_uniform(self) -> bool:
-        d = np.diff(self.grid)
-        return bool(np.max(np.abs(d - d[0])) <= 1e-9 * abs(d[0]))
-
     def __call__(self, x):
         """Linear interpolation of the samples (off-grid evaluation)."""
         x = np.asarray(x, dtype=float)
@@ -120,38 +115,17 @@ class SampledComplexFunction:
 
     def to_csv(self, path):
         """Write rows `x,re,im` with full double-precision round-trip."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for x, v in zip(self.grid, self.values):
-                fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+        columns = (self.grid, self.values.real, self.values.imag)
+        _write_csv(path, CSV_HEADER, zip(*(c.tolist() for c in columns)))
 
     @classmethod
     def from_csv(cls, path, tail: TailModel | None = None) -> "SampledComplexFunction":
-        xs, res, ims = [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines:
-            raise CsvFormatError(1, "empty file")
-        if lines[0].strip() != CSV_HEADER:
-            raise CsvFormatError(1, f"expected header '{CSV_HEADER}'")
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise CsvFormatError(lineno, f"expected 3 fields, got {len(parts)}")
-            try:
-                x, re, im = (float(p) for p in parts)
-            except ValueError:
-                raise CsvFormatError(lineno, f"non-numeric field in {line!r}") from None
-            if xs and x <= xs[-1]:
-                raise CsvFormatError(lineno, "x values must be strictly increasing")
-            xs.append(x)
-            res.append(re)
-            ims.append(im)
-        if len(xs) < 2:
-            raise CsvFormatError(len(lines), "need at least 2 data rows")
-        return cls(np.array(xs), np.array(res) + 1j * np.array(ims), tail)
+        linenos, columns = _read_csv(path, CSV_HEADER, min_rows=2)
+        x, re, im = (np.array(col) for col in columns)
+        drops = np.flatnonzero(np.diff(x) <= 0)
+        if drops.size:
+            raise CsvFormatError(linenos[drops[0] + 1], "x values must be strictly increasing")
+        return cls(x, re + 1j * im, tail)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -184,6 +158,12 @@ class SampledComplexFunction:
         return cls.from_json_dict(json.loads(text))
 
 
+def is_uniform(grid) -> bool:
+    """Whether the grid spacing is constant to 1e-9 of the first step."""
+    d = np.diff(grid)
+    return bool(np.max(np.abs(d - d[0])) <= 1e-9 * abs(d[0]))
+
+
 def uniform_grid(lo: float, hi: float, n: int = 4096) -> np.ndarray:
     """Uniform grid of n points on [lo, hi]."""
     if n < 2:
@@ -191,13 +171,6 @@ def uniform_grid(lo: float, hi: float, n: int = 4096) -> np.ndarray:
     if not hi > lo:
         raise ValueError("need hi > lo")
     return np.linspace(lo, hi, n)
-
-
-def lorentzian_grid(peak: float, width: float, n: int = 4096, widths: float = 50.0) -> np.ndarray:
-    """Default working grid for Lorentzian-shaped functions: peak +- widths*width."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    return uniform_grid(peak - widths * width, peak + widths * width, n)
 
 
 def estimate_tail(f: SampledComplexFunction, fraction: float = 0.1) -> TailModel:
@@ -238,3 +211,75 @@ def estimate_tail(f: SampledComplexFunction, fraction: float = 0.1) -> TailModel
     if p <= 0.5:
         raise ValueError(f"estimated tail exponent {p:.3f} is not square-integrable")
     return TailModel(p, c)
+
+
+# ---------------------------------------------------------------------------
+# the CSV format shared by every file the package reads or writes
+# ---------------------------------------------------------------------------
+
+def _write_csv(path, header: str, rows):
+    """Write the header line, then one line per row of Python ints and floats.
+
+    Floats are written as their repr, the shortest text that reads back to
+    the same double.
+    """
+    line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in rows)
+
+
+def _read_csv(path, header, types=float, *, min_rows: int = 0) -> tuple[list[int], list[list]]:
+    """The data columns of a CSV file, and the line number of every data row.
+
+    header: the exact first line, in which case every row must have as many
+        fields; or a sequence of column names, where a tuple entry lists
+        alternatives (the first present wins), in which case only those
+        columns are read, in that order.
+    types: converter applied to every field read, or one converter per column.
+
+    Blank lines are skipped but counted, so every CsvFormatError carries the
+    file's own 1-based line number.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise CsvFormatError(1, "empty file")
+    names = lines[0].strip().split(",")
+    exact = isinstance(header, str)
+    if exact:
+        if lines[0].strip() != header:
+            raise CsvFormatError(1, f"expected header '{header}'")
+        columns = range(len(names))
+    else:
+        columns = []
+        for want in header:
+            alternatives = (want,) if isinstance(want, str) else tuple(want)
+            present = [n for n in alternatives if n in names]
+            if not present:
+                raise CsvFormatError(1, f"expected a column {' or '.join(map(repr, alternatives))}")
+            columns.append(names.index(present[0]))
+    need = len(names) if exact else max(columns) + 1
+    linenos, rows = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != need and (exact or len(parts) < need):
+            at_least = "" if exact else "at least "
+            raise CsvFormatError(lineno, f"expected {at_least}{need} fields, got {len(parts)}")
+        linenos.append(lineno)
+        rows.append(parts)
+    if len(rows) < min_rows:
+        raise CsvFormatError(len(lines), f"need at least {min_rows} data rows")
+    fields = list(zip([types] * len(columns) if callable(types) else types, columns))
+    try:
+        return linenos, [list(map(f, [parts[i] for parts in rows])) for f, i in fields]
+    except ValueError:
+        for lineno, parts in zip(linenos, rows):
+            try:
+                for f, i in fields:
+                    f(parts[i])
+            except ValueError:
+                raise CsvFormatError(lineno, f"bad field in {','.join(parts)!r}") from None
+        raise

@@ -85,10 +85,14 @@ class ChannelFunction:
     def is_analytic(self) -> bool:
         return isinstance(self.base, AnalyticModel)
 
+    def base_value(self, energies):
+        """The base on the energies, without the phase e^{-i E tau}."""
+        e = np.asarray(energies, dtype=float)
+        return np.asarray(self.base(e.astype(complex)) if self.is_analytic else self.base(e), dtype=complex)
+
     def value(self, energies):
         e = np.asarray(energies, dtype=float)
-        base = self.base(e.astype(complex)) if self.is_analytic else self.base(e)
-        return np.exp(-1j * e * self.phase_time) * np.asarray(base, dtype=complex)
+        return np.exp(-1j * e * self.phase_time) * self.base_value(e)
 
     def shifted(self, dt: float) -> "ChannelFunction":
         return ChannelFunction(self.base, self.phase_time + dt)

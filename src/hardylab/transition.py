@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import enum
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +25,17 @@ import numpy as np
 from .errors import IncompatibleChannels, NegativeTime, ToleranceNotMet
 from .quadrature import (
     OscillatorySpec,
+    default_energy_grid,
     oscillatory_integral,
     rational_halfline_fourier,
 )
-from .sampled import SampledComplexFunction, TailModel
+from .sampled import SampledComplexFunction, TailModel, _read_csv, _write_csv
 from .states import Channel, ChannelFunction, EnergyWaveFunction, WaveKind, evolve_observable, evolve_state
 
-_DEFAULT_GRID_POINTS = 32769
-_DEFAULT_SPAN_WIDTHS = 50.0
+_GRID_POINTS = 32769
+# relative gap allowed between evolved samples and the phase of the amplitude integral
+_PICTURE_TOL = 1e-8
+AMPLITUDE_CSV_HEADER = "t,re_a,im_a,p,err"
 
 
 # ---------------------------------------------------------------------------
@@ -245,34 +246,16 @@ class AmplitudeResult:
 
 
 def amplitude_results_to_csv(results, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,re_a,im_a,p,err\n")
-        for r in results:
-            fh.write(
-                f"{r.t!r},{r.a.real!r},{r.a.imag!r},{r.p!r},{r.error_estimate!r}\n"
-            )
+    rows = ((r.t, r.a.real, r.a.imag, r.p, r.error_estimate) for r in results)
+    _write_csv(path, AMPLITUDE_CSV_HEADER, rows)
 
 
 def amplitude_results_from_csv(path) -> list[AmplitudeResult]:
-    from .errors import CsvFormatError
-
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "t,re_a,im_a,p,err":
-        raise CsvFormatError(1, "expected header 't,re_a,im_a,p,err'")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise CsvFormatError(lineno, f"expected 5 fields, got {len(parts)}")
-        try:
-            t, re_a, im_a, p, err = (float(s) for s in parts)
-        except ValueError:
-            raise CsvFormatError(lineno, f"non-numeric field in {line!r}") from None
-        out.append(AmplitudeResult(t, complex(re_a, im_a), p, AmplitudeMethod.QUADRATURE, err))
-    return out
+    _, columns = _read_csv(path, AMPLITUDE_CSV_HEADER)
+    return [
+        AmplitudeResult(t, complex(re_a, im_a), p, AmplitudeMethod.QUADRATURE, err)
+        for t, re_a, im_a, p, err in zip(*columns)
+    ]
 
 
 def amplitude_results_to_json(results) -> str:
@@ -369,24 +352,19 @@ def _shared_channels(obs, state):
     return sorted(set(obs.channels) & set(state.channels))
 
 
-def _quadrature_grid(psi: ChannelFunction, phi: ChannelFunction, s_entry, grid_points):
-    hi = 10.0
+def _channel_amplitude_quadrature(psi: ChannelFunction, phi: ChannelFunction, s_entry, t_eff):
+    poles, hi = [], 10.0
     for fn in (psi, phi):
         if fn.is_analytic:
-            for p in fn.base.poles():
-                hi = max(hi, p.real + _DEFAULT_SPAN_WIDTHS * max(2.0 * abs(p.imag), 0.5))
+            poles.extend(fn.base.poles())
         else:
             hi = max(hi, fn.base.grid[-1])
     rat = s_entry.as_rational()
     if rat is not None:
-        for _, p in rat[1]:
-            hi = max(hi, p.real + _DEFAULT_SPAN_WIDTHS * max(2.0 * abs(p.imag), 0.5))
-    return np.linspace(0.0, hi, grid_points)
-
-
-def _channel_amplitude_quadrature(psi, phi, s_entry, t_eff, grid_points):
-    grid = _quadrature_grid(psi, phi, s_entry, grid_points)
-    integrand = np.conj(psi.value(grid)) * phi.value(grid) * s_entry.value(grid)
+        poles.extend(p for _, p in rat[1])
+    grid = default_energy_grid(poles, _GRID_POINTS, hi)
+    # the phase times enter once, through t_eff, so the integrand uses the bases
+    integrand = np.conj(psi.base_value(grid)) * phi.base_value(grid) * s_entry.value(grid)
     # the wave-function product decays like E^-2; the fitted expansion refines
     c2 = integrand[-1] * grid[-1] ** 2
     f = SampledComplexFunction(grid, integrand, TailModel(2.0, complex(c2)))
@@ -400,7 +378,6 @@ def transition_amplitude(
     t: float,
     *,
     method: str = "auto",
-    grid_points: int = _DEFAULT_GRID_POINTS,
 ) -> AmplitudeResult:
     """a(t) = sum_channels int_0^inf e^{-iEt} conj(psi) phi S dE for t >= 0.
 
@@ -451,20 +428,10 @@ def transition_amplitude(
             if method == "pole_residue":
                 raise ValueError("pole_residue route needs rational factors throughout")
             used = AmplitudeMethod.QUADRATURE
-            val, e = _channel_amplitude_quadrature(psi, phi, s.entry(ch), t_eff, grid_points)
+            val, e = _channel_amplitude_quadrature(psi, phi, s.entry(ch), t_eff)
             total += val
             err += e
     return AmplitudeResult.from_amplitude(t, total, used, err)
-
-
-_threads_env = os.environ.get("HARDYLAB_THREADS")
-_num_threads = int(_threads_env) if _threads_env else 1
-
-
-def set_threads(n: int):
-    """Set the worker count used to parallelize probability curves."""
-    global _num_threads
-    _num_threads = max(1, int(n))
 
 
 def transition_probability(
@@ -474,45 +441,50 @@ def transition_probability(
     t_grid,
     *,
     method: str = "auto",
-    grid_points: int = _DEFAULT_GRID_POINTS,
-    picture_tol: float = 1e-8,
 ) -> list[AmplitudeResult]:
-    """P(t) over a time grid, computed in both dynamical pictures.
+    """P(t) over a time grid: transition_amplitude at every point.
 
-    Each point is evaluated twice: evolving the state forward (Schroedinger)
-    and evolving the observable forward (Heisenberg).  Both reduce to the
-    same half-line integral, and the run aborts with ToleranceNotMet if they
-    ever disagree beyond picture_tol plus the numerical error estimates,
-    which would indicate broken evolution plumbing.  The reported results
-    come from the Schroedinger path.
+    Evolution shifts the phase time of analytic channels but rewrites the
+    samples of sampled ones.  When a shared channel is sampled, every time
+    point is therefore also checked in the Schroedinger picture (state
+    evolved) and the Heisenberg picture (observable evolved): on the sampled
+    nodes, the evolved values must equal the originals times the phase the
+    amplitude integral applies, or the run aborts with ToleranceNotMet, which
+    would indicate broken evolution plumbing.
     """
     ts = [float(t) for t in t_grid]
     if any(t < 0 for t in ts):
         raise NegativeTime("t grid contains negative entries")
     if any(b < a for a, b in zip(ts[:-1], ts[1:])):
         raise ValueError("t grid must be nondecreasing")
+    sampled = [
+        ch
+        for ch in _shared_channels(obs, state)
+        if not (obs.channels[ch].is_analytic and state.channels[ch].is_analytic)
+    ]
+    if sampled:
+        _check_pictures(obs, state, sampled, ts)
+    return [transition_amplitude(obs, state, s, t, method=method) for t in ts]
 
-    def one(t: float) -> AmplitudeResult:
-        r_s = transition_amplitude(
-            obs, evolve_state(state, t), s, 0.0, method=method, grid_points=grid_points
-        )
-        r_h = transition_amplitude(
-            evolve_observable(obs, t), state, s, 0.0, method=method, grid_points=grid_points
-        )
-        budget = picture_tol + r_s.error_estimate + r_h.error_estimate
-        if abs(r_s.p - r_h.p) > budget:
-            raise ToleranceNotMet(
-                f"picture mismatch at t={t}: |P_S - P_H| = {abs(r_s.p - r_h.p):.3e} "
-                f"exceeds {budget:.3e}"
-            )
-        return AmplitudeResult.from_amplitude(
-            t, r_s.a, r_s.method, r_s.error_estimate + abs(r_s.a - r_h.a)
-        )
 
-    if _num_threads > 1 and len(ts) > 1:
-        with ThreadPoolExecutor(max_workers=_num_threads) as pool:
-            return list(pool.map(one, ts))
-    return [one(t) for t in ts]
+def _check_pictures(obs, state, channels, ts):
+    for t in ts:
+        for picture, w, evolved, phase in (
+            ("Schroedinger", state, evolve_state(state, t), -1j * t),
+            ("Heisenberg", obs, evolve_observable(obs, t), 1j * t),
+        ):
+            for ch in channels:
+                fn = w.channels[ch]
+                if fn.is_analytic:
+                    continue
+                e = fn.base.grid
+                want = fn.value(e) * np.exp(phase * e)
+                gap = float(np.max(np.abs(evolved.channels[ch].value(e) - want)))
+                if gap > _PICTURE_TOL * max(1.0, float(np.max(np.abs(want)))):
+                    raise ToleranceNotMet(
+                        f"{picture} picture mismatch at t={t} in channel {ch}: "
+                        f"evolved samples off by {gap:.3e}"
+                    )
 
 
 # ---------------------------------------------------------------------------

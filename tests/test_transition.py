@@ -5,19 +5,27 @@ import json
 import numpy as np
 import pytest
 
+import hardylab.transition
 from hardylab import (
     AmplitudeMethod,
     Channel,
+    ChannelFunction,
+    EnergyWaveFunction,
     IncompatibleChannels,
     LorentzianSpec,
     NegativeTime,
     PhaseShift,
     ResonancePole,
+    SampledComplexFunction,
     SMatrixModel,
+    ToleranceNotMet,
     UnitS,
+    WaveKind,
     amplitude_results_from_csv,
     amplitude_results_to_csv,
     amplitude_results_to_json,
+    evolve_observable,
+    evolve_state,
     fit_exponential_rate,
     make_lorentzian_observable,
     make_lorentzian_state,
@@ -36,6 +44,26 @@ def fixtures(a=2.0, b=1.0):
     state = make_lorentzian_state(LorentzianSpec(a, b, {CH: 1.0}))
     obs = make_lorentzian_observable(LorentzianSpec(a, b, {CH: 1.0}))
     return obs, state
+
+
+def breit_wigner_phase_samples(e_r, gamma, e_max, n=20001):
+    """delta(E) with e^{2i delta} = ResonancePole(e_r, gamma), on a grid graded toward e_r."""
+    w = gamma / 2.0
+    u = np.linspace(np.arcsinh(-e_r / w), np.arcsinh((e_max - e_r) / w), n)
+    e = e_r + w * np.sinh(u)
+    return SampledComplexFunction(e, np.arctan2(w, e_r - e) + 0j)
+
+
+# (S-matrix under test, rational S-matrix with the same values on E > 0)
+S_PAIRS = {
+    "resonance_pole": lambda: (ResonancePole(2.0, 0.2), ResonancePole(2.0, 0.2)),
+    "callable_phase": lambda: (PhaseShift(lambda e: np.full_like(e, 0.3)), PhaseShift(0.3)),
+    # the quadrature grid of the b = 5 fixtures ends at 2 + 50 * 5 = 252
+    "sampled_phase": lambda: (
+        PhaseShift(breit_wigner_phase_samples(2.0, 0.2, 302.0)),
+        ResonancePole(2.0, 0.2),
+    ),
+}
 
 
 class TestSMatrixModels:
@@ -162,6 +190,36 @@ class TestTransitionAmplitude:
         assert abs(total.a - parts) < 1e-12
 
 
+class TestEvolvedPhase:
+    """Evolved wave functions carry their phase once, on every route."""
+
+    @pytest.mark.parametrize(
+        "case, method",
+        [
+            ("resonance_pole", "pole_residue"),
+            ("resonance_pole", "quadrature"),
+            ("resonance_pole", "auto"),
+            ("callable_phase", "quadrature"),
+            ("callable_phase", "auto"),
+            ("sampled_phase", "quadrature"),
+            ("sampled_phase", "auto"),
+        ],
+    )
+    def test_matches_pole_route(self, case, method):
+        obs, state = fixtures(2.0, 5.0)
+        s_entry, rational = S_PAIRS[case]()
+        s, s_ref = SMatrixModel({CH: s_entry}), SMatrixModel({CH: rational})
+        tau, t = 3.0, 2.0
+        ref = transition_amplitude(obs, state, s_ref, tau + t, method="pole_residue")
+        results = [
+            transition_amplitude(obs, evolve_state(state, tau), s, t, method=method),
+            transition_amplitude(evolve_observable(obs, tau), state, s, t, method=method),
+            transition_probability(obs, state, s, [tau + t], method=method)[0],
+        ]
+        for r in results:
+            assert abs(r.a - ref.a) <= r.error_estimate + ref.error_estimate + 1e-7 * abs(ref.a)
+
+
 class TestTransitionProbability:
     def test_picture_equivalence(self):
         obs, state = fixtures()
@@ -174,6 +232,39 @@ class TestTransitionProbability:
             a_s = transition_amplitude(obs, evolve_state(state, r.t), SMatrixModel.unit(), 0.0)
             a_h = transition_amplitude(evolve_observable(obs, r.t), state, SMatrixModel.unit(), 0.0)
             assert abs(a_s.p - a_h.p) <= 1e-8
+
+    @pytest.mark.parametrize("case", ["resonance_pole", "callable_phase"])
+    def test_analytic_pair_is_one_amplitude_per_point(self, case):
+        obs, state = fixtures(2.0, 5.0)
+        s = SMatrixModel({CH: S_PAIRS[case]()[0]})
+        t_grid = [0.0, 0.5, 3.0, 12.0]
+        results = transition_probability(obs, state, s, t_grid)
+        assert results == [transition_amplitude(obs, state, s, t) for t in t_grid]
+
+    def test_sampled_pair_keeps_picture_check(self, monkeypatch):
+        obs, state = fixtures(2.0, 5.0)
+        # the quadrature grid itself, so no interpolation error enters the comparison
+        grid = np.linspace(0.0, 252.0, 32769)
+        sampled = EnergyWaveFunction(
+            WaveKind.OBSERVABLE, {CH: obs.channels[CH].base.sample(grid)}, validate=False
+        )
+        t_grid = [0.0, 1.0, 5.0]
+        reference = transition_probability(obs, state, SMatrixModel.unit(), t_grid)
+        results = transition_probability(sampled, state, SMatrixModel.unit(), t_grid)
+        for r, ref in zip(results, reference):
+            assert abs(r.a - ref.a) <= r.error_estimate + ref.error_estimate
+
+        def wrong_phase(w, t):
+            # e^{-iEt}: the state's phase, not the observable's e^{+iEt}
+            return w.map_channels(
+                lambda fn: ChannelFunction(
+                    fn.base.with_values(fn.base.values * np.exp(-1j * fn.base.grid * t))
+                )
+            )
+
+        monkeypatch.setattr(hardylab.transition, "evolve_observable", wrong_phase)
+        with pytest.raises(ToleranceNotMet):
+            transition_probability(sampled, state, SMatrixModel.unit(), t_grid)
 
     def test_cauchy_schwarz_bound(self):
         obs, state = fixtures()
