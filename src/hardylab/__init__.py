@@ -48,7 +48,6 @@ from .sampled import (
 )
 from .quadrature import (
     Method,
-    OscillatorySpec,
     QuadratureSpec,
     ValueWithError,
     oscillatory_integral,

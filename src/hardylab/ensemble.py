@@ -109,20 +109,6 @@ class SequentialScheme:
         return {"kind": "sequential", "times": list(self.times)}
 
 
-def scheme_from_json_dict(obj: dict):
-    kind = obj["kind"]
-    if kind == "simultaneous":
-        return SimultaneousScheme(obj.get("t0", 0.0))
-    if kind == "sequential":
-        if "times" in obj:
-            return SequentialScheme(tuple(obj["times"]))
-        n = int(obj["count"])
-        start = float(obj.get("start", 0.0))
-        step = float(obj.get("step", 1.0))
-        return SequentialScheme(tuple(start + step * i for i in range(n)))
-    raise ValueError(f"unknown scheme kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # mapping to the quantum time parameter
 # ---------------------------------------------------------------------------

@@ -29,23 +29,15 @@ from .errors import (
 from .models import AnalyticModel, DampedSine, HalfPlane, RationalSum, SimplePole
 from .quadrature import (
     Method,
-    QuadratureSpec,
     ValueWithError,
     cauchy_tail_correction,
     fourier_integral_sampled,
     grid_weights,
     squared_tail_integral,
 )
-from .sampled import SampledComplexFunction, TailModel, is_uniform, uniform_grid
+from .sampled import SampledComplexFunction, TailModel, uniform_grid
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
-
-
-def _quad_opts(spec: QuadratureSpec | None) -> dict:
-    """Adaptive-quadrature options; tight defaults unless a spec is passed."""
-    if spec is None:
-        return _QUAD_OPTS
-    return dict(epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_subdivisions)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +80,7 @@ def _criterion_verdict(offsets, values, bound):
     return True, "pass"
 
 
-def hardy_criterion(
-    f, hp: HalfPlane, offsets, *, bound: float = 1e12, quad: QuadratureSpec | None = None
-) -> CriterionResult:
+def hardy_criterion(f, hp: HalfPlane, offsets, *, bound: float = 1e12) -> CriterionResult:
     """Line integrals int |f(w + i*sign*gamma)|^2 dw for each offset gamma.
 
     Analytic models are evaluated directly on the offset lines (a pole inside
@@ -116,7 +106,7 @@ def hardy_criterion(
         for g in offs:
             y = hp.sign * g
             val, err = integrate.quad(
-                lambda w: abs(f(w + 1j * y)) ** 2, -np.inf, np.inf, **_quad_opts(quad)
+                lambda w: abs(f(w + 1j * y)) ** 2, -np.inf, np.inf, **_QUAD_OPTS
             )
             values.append(float(val))
             errors.append(float(err))
@@ -167,7 +157,6 @@ def titchmarsh_continuation(
     z: complex,
     *,
     tolerance: float | None = None,
-    quad: QuadratureSpec | None = None,
 ) -> ValueWithError:
     """Continue boundary values to an interior point via the Cauchy integral.
 
@@ -183,12 +172,11 @@ def titchmarsh_continuation(
     pref = hp.sign / (2j * np.pi)
 
     if isinstance(f, AnalyticModel):
-        opts = _quad_opts(quad)
         re, re_err = integrate.quad(
-            lambda w: (f(w + 0j) / (w - z)).real, -np.inf, np.inf, **opts
+            lambda w: (f(w + 0j) / (w - z)).real, -np.inf, np.inf, **_QUAD_OPTS
         )
         im, im_err = integrate.quad(
-            lambda w: (f(w + 0j) / (w - z)).imag, -np.inf, np.inf, **opts
+            lambda w: (f(w + 0j) / (w - z)).imag, -np.inf, np.inf, **_QUAD_OPTS
         )
         return ValueWithError(pref * complex(re, im), abs(pref) * (re_err + im_err))
 
@@ -254,7 +242,6 @@ def hilbert_transform(
     given: str,
     *,
     tolerance: float = 1e-3,
-    method: str = "direct",
 ) -> SampledComplexFunction:
     """Fill in the missing part of a Hardy boundary value by dispersion.
 
@@ -269,9 +256,6 @@ def hilbert_transform(
         tolerance: relative truncation budget; without a tail model the
            transform raises MissingTailModel when the edge-truncation
            estimate exceeds it.
-        method: "direct" for the subtract-the-singularity scheme (works on
-           non-uniform grids), "fft" for the fast approximate path on
-           uniform grids.
 
     Returns:
         A function on the same grid with both parts populated.
@@ -283,23 +267,18 @@ def hilbert_transform(
     x = f.grid
     part = f.values.real if given == "re" else f.values.imag
 
-    if method == "fft":
-        partner = _hilbert_fft(x, part)
-    elif method == "direct":
-        part_tail = None
-        if f.tail is not None and f.tail.integer_p is not None:
-            c_part = f.tail.c.real if given == "re" else f.tail.c.imag
-            part_tail = TailModel(f.tail.p, complex(c_part))
-        part_fn = SampledComplexFunction(x, part.astype(complex), part_tail)
-        partner, tail_err = _pv_hilbert_of_part(x, part, part_fn)
-        scale = float(np.max(np.abs(part))) or 1.0
-        if f.tail is None and tail_err > tolerance * scale:
-            raise MissingTailModel(
-                f"truncation estimate {tail_err:.3e} exceeds tolerance "
-                f"{tolerance * scale:.3e}; attach a tail model"
-            )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    part_tail = None
+    if f.tail is not None and f.tail.integer_p is not None:
+        c_part = f.tail.c.real if given == "re" else f.tail.c.imag
+        part_tail = TailModel(f.tail.p, complex(c_part))
+    part_fn = SampledComplexFunction(x, part.astype(complex), part_tail)
+    partner, tail_err = _pv_hilbert_of_part(x, part, part_fn)
+    scale = float(np.max(np.abs(part))) or 1.0
+    if f.tail is None and tail_err > tolerance * scale:
+        raise MissingTailModel(
+            f"truncation estimate {tail_err:.3e} exceeds tolerance "
+            f"{tolerance * scale:.3e}; attach a tail model"
+        )
 
     # sign pattern of the dispersion relations
     if given == "im":
@@ -309,22 +288,6 @@ def hilbert_transform(
         partner = -hp.sign * partner
         values = part + 1j * partner
     return SampledComplexFunction(x, values, f.tail)
-
-
-def _hilbert_fft(x, part, oversample: int = 8):
-    """FFT discrete Hilbert transform; fast but assumes periodic-ish data."""
-    if not is_uniform(x):
-        raise ValueError("fft path needs a uniform grid")
-    n = x.size
-    nfft = 1 << int(np.ceil(np.log2(oversample * n)))
-    padded = np.zeros(nfft)
-    padded[:n] = part
-    spec = np.fft.fft(padded)
-    kern = np.zeros(nfft, dtype=complex)
-    kern[1 : nfft // 2] = 1j
-    kern[nfft // 2 + 1 :] = -1j
-    # multiplier i*sign(xi) is the transform of the kernel -1/(pi u)
-    return np.fft.ifft(spec * kern).real[:n]
 
 
 @dataclass(frozen=True)
@@ -529,7 +492,7 @@ def causal_transform(
     values = np.empty(omega_grid.size, dtype=complex)
     for k, w in enumerate(omega_grid):
         # e^{+i w t} integrand corresponds to transform variable s = -w
-        values[k] = fourier_integral_sampled(t, v, -w, method="filon").value
+        values[k] = fourier_integral_sampled(t, v, -w).value
     return SampledComplexFunction(omega_grid, values, _output_tail(f0, f1, scale))
 
 

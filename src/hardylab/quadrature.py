@@ -6,8 +6,8 @@ Three integral families recur throughout the package:
   evaluated by subtracting the singularity and adding the analytic log term;
 * half-line Fourier integrals int_0^inf e^{-i s x} g(x) dx, evaluated by
   Filon-type quadrature (oscillation integrated exactly against a piecewise
-  parabola) or, for rational integrands, by exact exponential-integral
-  closed forms;
+  parabola on uniform grids, a piecewise line on others) or, for rational
+  integrands, by exact exponential-integral closed forms;
 * tail corrections for integrals truncated at the grid edges, driven by an
   inverse-power expansion of the integrand fitted to the outer samples.
 
@@ -36,7 +36,6 @@ from .sampled import SampledComplexFunction, is_uniform
 class Method(enum.Enum):
     TRAPEZOID_UNIFORM = "trapezoid_uniform"
     ADAPTIVE_SIMPSON = "adaptive_simpson"
-    FILON_OSCILLATORY = "filon_oscillatory"
 
 
 @dataclass(frozen=True)
@@ -54,22 +53,6 @@ class QuadratureSpec:
 
     def tolerance_for(self, value: complex) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
-
-
-@dataclass(frozen=True)
-class OscillatorySpec:
-    """Controls the plain-vs-Filon switch for e^{-i s x} integrals.
-
-    Filon weights take over once |s| * (grid spacing) exceeds
-    switch_threshold, below which plain quadrature of the oscillating samples
-    is already accurate.
-    """
-
-    switch_threshold: float = 0.05
-
-    def __post_init__(self):
-        if not self.switch_threshold > 0:
-            raise ValueError("switch_threshold must be strictly positive")
 
 
 class ValueWithError(NamedTuple):
@@ -420,8 +403,6 @@ def pv_integral(
     grid span alone.  Exact to round-off for constant g.
     """
     spec = spec or QuadratureSpec()
-    if spec.method is Method.FILON_OSCILLATORY:
-        raise ValueError("Filon weights are for oscillatory integrals, not PV kernels")
     x0 = float(singularity)
     a, b = g.span
     if not (a < x0 < b):
@@ -481,17 +462,21 @@ def _filon_parabolic_moments(theta: float):
 
 
 def filon_integral(x: np.ndarray, g: np.ndarray, s: float) -> complex:
-    """int e^{-i s x} g(x) dx on a uniform grid, g piecewise parabolic.
+    """int e^{-i s x} g(x) dx over the grid, the oscillation integrated exactly.
 
-    Parabolic pairs need an odd point count; an even count is closed out
-    with the exact linear rule on the final interval.
+    On a uniform grid g is taken piecewise parabolic over pairs of intervals,
+    and an even point count is closed out with the linear rule on the final
+    interval; on any other grid g is taken piecewise linear.
     """
+    return _filon(x, g, s, is_uniform(x))
+
+
+def _filon(x: np.ndarray, g: np.ndarray, s: float, uniform: bool) -> complex:
     n = x.size
-    if n < 3:
-        return plain_oscillatory(x, g, s)
+    if n < 3 or not uniform:
+        return _filon_linear(x, g, s)
     if n % 2 == 0:
-        head = filon_integral(x[:-1], g[:-1], s)
-        return head + _filon_linear_piece(x[-2:], g[-2:], s)
+        return _filon(x[:-1], g[:-1], s, True) + _filon_linear(x[-2:], g[-2:], s)
     h = float(x[1] - x[0])
     theta = s * h
     m0, m1, m2 = _filon_parabolic_moments(theta)
@@ -505,26 +490,8 @@ def filon_integral(x: np.ndarray, g: np.ndarray, s: float) -> complex:
     return complex(h * np.sum(np.exp(-1j * s * xm) * contrib))
 
 
-def _filon_linear_piece(x: np.ndarray, g: np.ndarray, s: float) -> complex:
-    """Exact e^{-i s x} integral of the linear interpolant on one interval."""
-    h = float(x[1] - x[0])
-    xm = 0.5 * (x[0] + x[1])
-    theta = s * h / 2.0
-    if abs(theta) < 0.1:
-        # sin(t) - t cos(t) = t^3/3 - t^5/30 + ...
-        t2 = theta * theta
-        mu0 = h * (1 - t2 / 6 + t2 * t2 / 120)
-        mu1 = -1j * h * h / 4 * (2.0 / 3.0 * theta - theta * t2 / 15.0)
-    else:
-        mu0 = 2.0 * np.sin(theta) / s
-        mu1 = -2j * (np.sin(theta) - theta * np.cos(theta)) / s**2
-    avg = 0.5 * (g[0] + g[1])
-    slope = (g[1] - g[0]) / h
-    return complex(np.exp(-1j * s * xm) * (avg * mu0 + slope * mu1))
-
-
-def filon_integral_nonuniform(x: np.ndarray, g: np.ndarray, s: float) -> complex:
-    """Piecewise-linear Filon on an arbitrary grid."""
+def _filon_linear(x: np.ndarray, g: np.ndarray, s: float) -> complex:
+    """Exact e^{-i s x} integral of the piecewise-linear interpolant."""
     h = np.diff(x)
     xm = 0.5 * (x[:-1] + x[1:])
     theta = s * h / 2.0
@@ -533,6 +500,7 @@ def filon_integral_nonuniform(x: np.ndarray, g: np.ndarray, s: float) -> complex
     mu1 = np.empty(h.size, dtype=complex)
     t2 = theta[small] ** 2
     mu0[small] = h[small] * (1 - t2 / 6 + t2 * t2 / 120)
+    # sin(t) - t cos(t) = t^3/3 - t^5/30 + ...
     mu1[small] = -1j * h[small] ** 2 / 4 * (2.0 / 3.0 * theta[small] - theta[small] * t2 / 15.0)
     tb = theta[~small]
     mu0[~small] = 2.0 * np.sin(tb) / s
@@ -542,31 +510,20 @@ def filon_integral_nonuniform(x: np.ndarray, g: np.ndarray, s: float) -> complex
     return complex(np.sum(np.exp(-1j * s * xm) * (avg * mu0 + slope * mu1)))
 
 
-def plain_oscillatory(x: np.ndarray, g: np.ndarray, s: float) -> complex:
-    """Direct quadrature of the oscillating samples; needs small |s| h."""
-    w = grid_weights(x, Method.ADAPTIVE_SIMPSON)
-    return complex(np.sum(w * np.exp(-1j * s * x) * g))
+def fourier_integral_sampled(x, g, s) -> ValueWithError:
+    """int e^{-i s x} g(x) dx over the grid by Filon, with a Richardson error estimate.
 
-
-def fourier_integral_sampled(x, g, s, method="auto", switch_threshold=0.5):
-    """int e^{-i s x} g(x) dx over the grid with a Richardson error estimate."""
+    The estimate is the gap to the same rule on every other node, divided by
+    5 for the parabolic rule of uniform grids and by 3 for the linear rule.
+    """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=complex)
-    if method == "auto":
-        method = "filon" if abs(s) * float(np.max(np.diff(x))) > switch_threshold else "plain"
-    if method == "plain":
-        full = plain_oscillatory(x, g, s)
-        half = plain_oscillatory(x[::2], g[::2], s)
-        return ValueWithError(full, abs(full - half) / 3.0)
-    if method == "filon":
-        if is_uniform(x):
-            full = filon_integral(x, g, s)
-            half = filon_integral(x[::2], g[::2], s)
-            return ValueWithError(full, abs(full - half) / 5.0)
-        full = filon_integral_nonuniform(x, g, s)
-        half = filon_integral_nonuniform(x[::2], g[::2], s)
-        return ValueWithError(full, abs(full - half) / 3.0)
-    raise ValueError(f"unknown method {method!r}")
+    # one uniformity test for both rules: every other node of a uniform grid is uniform
+    uniform = is_uniform(x)
+    full = _filon(x, g, s, uniform)
+    half = _filon(x[::2], g[::2], s, uniform)
+    divisor = 5.0 if uniform and x.size >= 3 else 3.0
+    return ValueWithError(full, abs(full - half) / divisor)
 
 
 def default_energy_grid(poles, n: int, hi: float = 10.0) -> np.ndarray:
@@ -580,41 +537,30 @@ def default_energy_grid(poles, n: int, hi: float = 10.0) -> np.ndarray:
     return np.linspace(0.0, hi, n)
 
 
-def oscillatory_integral(
-    g,
-    t: float,
-    spec: OscillatorySpec | None = None,
-    *,
-    method: str = "auto",
-    grid: np.ndarray | None = None,
-) -> ValueWithError:
+def oscillatory_integral(g, t: float) -> ValueWithError:
     """int_0^inf e^{-i E t} g(E) dE for t >= 0.
 
-    For rational AnalyticModel input (method "auto" or "pole") the exact
-    pole/residue path via exponential integrals is used, so the error does
-    not grow with t.  Sampled input integrates over the grid with Filon or
-    plain weights per the switch rule, plus exponential-integral tail terms
-    from the fitted tail expansion.  Negative t raises NegativeTime: this is
-    the semigroup boundary, not a numerics failure.
+    Rational AnalyticModel input takes the exact pole/residue path via
+    exponential integrals, so the error does not grow with t.  Sampled input
+    integrates over the grid by Filon (fourier_integral_sampled), plus
+    exponential-integral tail terms from the fitted tail expansion.  Negative
+    t raises NegativeTime: this is the semigroup boundary, not a numerics
+    failure.
     """
-    spec = spec or OscillatorySpec()
     if t < 0:
         raise NegativeTime(f"t = {t} < 0")
 
     if isinstance(g, AnalyticModel):
-        if method in ("auto", "pole"):
-            terms = [(c, p, 1) for c, p in g.as_terms()]
-            if not terms:
-                return ValueWithError(0j, 0.0)
-            value = rational_halfline_fourier(terms, t)
-            parts = (
-                [abs(c) * abs(rational_halfline_fourier([(1, p, 1)], t)) for c, p in g.as_terms()]
-                if t > 0
-                else [abs(value)]
-            )
-            return ValueWithError(value, 1e-13 * max(1.0, sum(parts)))
-        sampled = g.sample(default_energy_grid(g.poles(), 16385) if grid is None else np.asarray(grid))
-        return oscillatory_integral(sampled, t, spec, method=method)
+        terms = [(c, p, 1) for c, p in g.as_terms()]
+        if not terms:
+            return ValueWithError(0j, 0.0)
+        value = rational_halfline_fourier(terms, t)
+        parts = (
+            [abs(c) * abs(rational_halfline_fourier([(1, p, 1)], t)) for c, p in g.as_terms()]
+            if t > 0
+            else [abs(value)]
+        )
+        return ValueWithError(value, 1e-13 * max(1.0, sum(parts)))
 
     if not isinstance(g, SampledComplexFunction):
         raise TypeError("g must be an AnalyticModel or SampledComplexFunction")
@@ -627,9 +573,7 @@ def oscillatory_integral(
     if g.tail.p <= 1.0:
         raise NonDecayingIntegrand(f"tail exponent {g.tail.p} <= 1 is not integrable")
 
-    core = fourier_integral_sampled(
-        g.grid, g.values, t, method=method, switch_threshold=spec.switch_threshold
-    )
+    core = fourier_integral_sampled(g.grid, g.values, t)
     tail_exp = fit_tail_expansion(g, +1)
     tail_val = 0j
     tail_err = tail_exp.residual * tail_exp.edge ** (1 - tail_exp.exponents[0]) / max(

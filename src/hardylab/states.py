@@ -65,8 +65,9 @@ class Channel:
 class ChannelFunction:
     """One channel's energy function: base times the phase e^{-i E tau}.
 
-    The accumulated phase time tau keeps evolution exact for analytic bases:
-    composing evolutions adds taus instead of degrading the closed form.
+    Evolution only adds to the accumulated phase time tau, for analytic and
+    sampled bases alike: the closed form or the samples stay as they are, and
+    the phase enters the amplitude integral once, through the time.
     States carry tau >= 0 and observables tau <= 0; those are the only signs
     the semigroup can produce, and the sign guarantees the Hardy class of the
     evolved function.
@@ -346,15 +347,7 @@ def evolve_observable(w: EnergyWaveFunction, t: float) -> EnergyWaveFunction:
 
 def _evolved(w: EnergyWaveFunction, t: float) -> EnergyWaveFunction:
     dt = w.kind.phase_sign * t
-
-    def shift(fn: ChannelFunction) -> ChannelFunction:
-        if fn.is_analytic:
-            return fn.shifted(dt)
-        phased = fn.base.values * np.exp(-1j * fn.base.grid * dt)
-        base = SampledComplexFunction(fn.base.grid, phased, fn.base.tail)
-        return ChannelFunction(base, fn.phase_time)
-
-    return w.map_channels(shift)
+    return w.map_channels(lambda fn: fn.shifted(dt))
 
 
 def zero_like(w: EnergyWaveFunction) -> EnergyWaveFunction:

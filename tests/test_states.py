@@ -328,3 +328,13 @@ class TestWaveJson:
         back = EnergyWaveFunction.from_json(w.to_json(), validate=False)
         assert np.array_equal(back.channels[CH].base.values, base.values)
         assert back.channels[CH].base.tail == base.tail
+
+    def test_round_trip_evolved_sampled(self):
+        grid = uniform_grid(1e-3, 52.0, 256)
+        base = SampledComplexFunction(
+            grid, 1.0 / (grid - (2 + 0.5j)), TailModel(1.0, 1.0)
+        )
+        w = EnergyWaveFunction(WaveKind.STATE, {CH: base}, validate=False)
+        back = EnergyWaveFunction.from_json(evolve_state(w, 1.5).to_json(), validate=False)
+        assert np.array_equal(back.channels[CH].base.values, base.values)
+        assert back.channels[CH].phase_time == 1.5
