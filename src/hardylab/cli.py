@@ -153,11 +153,7 @@ def kk_check(input_csv, config_path, hp_flag, tolerance, output):
         )
     )
     if output:
-        from .hardy import hilbert_transform
-
-        recon_re = hilbert_transform(f, hp, "im").values.real
-        recon_im = hilbert_transform(f, hp, "re").values.imag
-        SampledComplexFunction(f.grid, recon_re + 1j * recon_im).to_csv(output)
+        report.reconstruction.to_csv(output)
     if report.max_residual > tol:
         sys.exit(2)
 

@@ -30,6 +30,7 @@ from .models import AnalyticModel, DampedSine, HalfPlane, RationalSum, SimplePol
 from .quadrature import (
     Method,
     ValueWithError,
+    cauchy_sums,
     cauchy_tail_correction,
     fourier_integral_sampled,
     grid_weights,
@@ -122,8 +123,7 @@ def hardy_criterion(f, hp: HalfPlane, offsets, *, bound: float = 1e12) -> Criter
         tail_sq, tail_sq_err = squared_tail_integral(f)
         w = grid_weights(f.grid, Method.ADAPTIVE_SIMPSON)
         for g in offs:
-            z_line = f.grid + 1j * hp.sign * g
-            line_vals, line_err = _continue_many(f, hp, z_line)
+            line_vals, line_err = _continue_many(f, hp, hp.sign * g)
             core = float(np.sum(w * np.abs(line_vals) ** 2))
             values.append(core + tail_sq.real)
             errors.append(float(line_err * 2.0 * np.sqrt(max(core, 1e-300)) + tail_sq_err))
@@ -137,16 +137,11 @@ def hardy_criterion(f, hp: HalfPlane, offsets, *, bound: float = 1e12) -> Criter
 # Titchmarsh continuation
 # ---------------------------------------------------------------------------
 
-def _continue_many(f: SampledComplexFunction, hp: HalfPlane, zs, chunk: int = 256):
-    """Cauchy integral sign/(2 pi i) int f(w')/(w'-z) dw' for an array of z."""
-    zs = np.asarray(zs, dtype=complex)
+def _continue_many(f: SampledComplexFunction, hp: HalfPlane, y: float):
+    """Cauchy integral sign/(2 pi i) int f(w')/(w'-z) dw' along the line z = grid + i y."""
     w = grid_weights(f.grid, Method.ADAPTIVE_SIMPSON)
-    out = np.empty(zs.shape, dtype=complex)
-    for start in range(0, zs.size, chunk):
-        blk = zs[start : start + chunk]
-        kern = f.values[None, :] / (f.grid[None, :] - blk[:, None])
-        out[start : start + chunk] = kern @ w
-    tail_corr, tail_err = cauchy_tail_correction(f, zs)
+    out = cauchy_sums(f.grid, w * f.values, 1j * y)
+    tail_corr, tail_err = cauchy_tail_correction(f, f.grid + 1j * y)
     pref = hp.sign / (2j * np.pi)
     return pref * (out + tail_corr), abs(pref) * tail_err
 
@@ -208,22 +203,10 @@ def titchmarsh_continuation(
 
 def _pv_hilbert_of_part(x, part, part_fn: SampledComplexFunction):
     """(1/pi) P int part(w')/(w' - w) dw' evaluated at every grid point."""
-    n = x.size
     w = grid_weights(x, Method.ADAPTIVE_SIMPSON)
-    dpart = np.gradient(part, x)
-    span = x[-1] - x[0]
-    core = np.empty(n)
-    chunk = 512
-    for start in range(0, n, chunk):
-        xi = x[start : start + chunk, None]
-        diff = x[None, :] - xi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = (part[None, :] - part[start : start + chunk, None]) / diff
-        near = np.abs(diff) <= 1e-12 * span
-        if near.any():
-            rows, cols = np.nonzero(near)
-            phi[rows, cols] = dpart[cols]
-        core[start : start + chunk] = phi @ w
+    # subtract the singularity: sum_j w_j (p_j - p_i) / (x_j - x_i), with p'_i at j = i
+    sums = cauchy_sums(x, np.stack([w * part, w], axis=1))
+    core = sums[:, 0] - part * sums[:, 1] + w * np.gradient(part, x)
 
     # exact PV of the constant part over the grid span; clip edge distances
     h_left = x[1] - x[0]
@@ -297,6 +280,7 @@ class DispersionReport:
     residual_re: float
     residual_im: float
     window: tuple[float, float]
+    reconstruction: SampledComplexFunction | None = None  # Re from Im and Im from Re
 
     @property
     def max_residual(self) -> float:
@@ -326,7 +310,8 @@ def dispersion_residual(
     scale_im = float(np.max(np.abs(f.values.imag))) or 1.0
     res_re = float(np.max(np.abs(from_im.values.real[mask] - f.values.real[mask]))) / scale_re
     res_im = float(np.max(np.abs(from_re.values.imag[mask] - f.values.imag[mask]))) / scale_im
-    return DispersionReport(res_re, res_im, (center - half, center + half))
+    reconstruction = SampledComplexFunction(f.grid, from_im.values.real + 1j * from_re.values.imag)
+    return DispersionReport(res_re, res_im, (center - half, center + half), reconstruction)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +474,8 @@ def causal_transform(
         f0 = signal.value_at_zero()
         f1 = signal.derivative_at_zero()
 
-    values = np.empty(omega_grid.size, dtype=complex)
-    for k, w in enumerate(omega_grid):
-        # e^{+i w t} integrand corresponds to transform variable s = -w
-        values[k] = fourier_integral_sampled(t, v, -w).value
+    # e^{+i w t} integrand corresponds to transform variable s = -w
+    values = fourier_integral_sampled(t, v, -omega_grid).value
     return SampledComplexFunction(omega_grid, values, _output_tail(f0, f1, scale))
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import fft
 from scipy.special import exp1
 
 from .errors import (
@@ -259,23 +260,22 @@ def fit_tail_expansion(
     )
 
 
-def power_kernel_tail(q: int, edge: float, z, side: int):
-    """int over one tail of x^{-q} / (x - z) dx, for integer q >= 1.
+def power_kernel_tail(q, edge: float, z, side: int):
+    """int over one tail of x^{-q} / (x - z) dx, for integer q >= 1 or a sequence of them.
 
     side = +1 integrates [edge, inf), side = -1 integrates (-inf, -edge].
     Evaluated by Gauss-Legendre after u = edge/|x|, exact for z off the tail
-    ray.  Broadcasts over an array of targets z.
+    ray; one matrix 1/(edge - side z u) serves every exponent.  Broadcasts
+    over an array of targets z; a sequence q adds a last axis.
     """
-    z = np.asarray(z, dtype=complex)
-    u = _GAUSS01_X
-    scalar = z.ndim == 0
-    zz = z[..., None]
-    if side > 0:
-        vals = edge ** (1 - q) * u ** (q - 1) / (edge - zz * u)
-    else:
-        vals = (-1) ** (q + 1) * edge ** (1 - q) * u ** (q - 1) / (edge + zz * u)
-    out = vals @ _GAUSS01_W
-    return complex(out) if scalar else out
+    qs = np.asarray(q, dtype=float)
+    q_row = qs.reshape(-1)
+    u = _GAUSS01_X[:, None]
+    weights = _GAUSS01_W[:, None] * float(side) ** (q_row + 1) * edge ** (1 - q_row) * u ** (q_row - 1)
+    z = np.asarray(z, dtype=complex)[..., None]
+    out = (1.0 / (edge - side * z * _GAUSS01_X)) @ weights
+    out = out.reshape(out.shape[:-1] + qs.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def cauchy_tail_correction(f: SampledComplexFunction, z) -> ValueWithError:
@@ -298,14 +298,11 @@ def cauchy_tail_correction(f: SampledComplexFunction, z) -> ValueWithError:
             err += float(abs(f.values[-1 if side > 0 else 0]))
             continue
         exp_side = fit_tail_expansion(f, side)
-        last = 0.0
-        for q, c in zip(exp_side.exponents, exp_side.coeffs):
-            piece = c * power_kernel_tail(q, exp_side.edge, z, side)
-            corr = corr + piece
-            last = float(np.max(np.abs(piece)))
+        pieces = power_kernel_tail(exp_side.exponents, exp_side.edge, z, side) * np.array(exp_side.coeffs)
+        corr = corr + pieces.sum(axis=-1)
         # the fit window cannot see terms past its highest exponent; score the
         # truncated series by a fraction of the last correction applied
-        err += 0.25 * last
+        err += 0.25 * float(np.max(np.abs(pieces[..., -1])))
         dist = np.min(np.abs((exp_side.side * exp_side.edge) - z)) if z.size else exp_side.edge
         err += exp_side.residual * exp_side.edge / max(float(dist), exp_side.edge / 10.0)
         if f.tail is None:
@@ -337,6 +334,49 @@ def squared_tail_integral(f: SampledComplexFunction) -> ValueWithError:
             edge_val = abs(f.values[-1]) if side > 0 else abs(f.values[0])
             err += float(edge_val**2 * x_edge)
     return ValueWithError(complex(max(total, 0.0)), float(err))
+
+
+# ---------------------------------------------------------------------------
+# Toeplitz sums: kernels of the node offset, exact by FFT on uniform grids
+# ---------------------------------------------------------------------------
+
+def _toeplitz_apply(kernel, v):
+    """T @ v for T[i, j] = kernel[i - j + n - 1] by one zero-padded FFT convolution.
+
+    v has n rows (one column per vector when 2-D) and the result has
+    len(kernel) - n + 1 rows; it equals the direct sum to rounding.
+    """
+    real = not (np.iscomplexobj(kernel) or np.iscomplexobj(v))
+    size = fft.next_fast_len(kernel.size, real=real)
+    forward, inverse = (fft.rfft, fft.irfft) if real else (fft.fft, fft.ifft)
+    spectrum = forward(kernel, size).reshape((-1,) + (1,) * (v.ndim - 1))
+    return inverse(spectrum * forward(v, size, axis=0), size, axis=0)[v.shape[0] - 1 : kernel.size]
+
+
+def cauchy_sums(x, u, shift: complex = 0.0):
+    """sum_j u_j / (x_j - x_i - shift) at every node x_i, dropping zero denominators.
+
+    At shift = 0 that leaves out j = i.  u holds one column per sum.  Uniform
+    grids take one FFT convolution, any other grid the direct O(n^2) sum.
+    """
+    return (_cauchy_sums_fft if is_uniform(x) else _cauchy_sums_direct)(x, u, shift)
+
+
+def _inverse_or_zero(d):
+    return np.divide(1.0, d, out=np.zeros_like(d), where=d != 0)
+
+
+def _cauchy_sums_fft(x, u, shift=0.0):
+    h = (x[-1] - x[0]) / (x.size - 1)
+    # x_j - x_i = -(i - j) h on a uniform grid
+    return _toeplitz_apply(_inverse_or_zero(-h * np.arange(1 - x.size, x.size) - shift), u)
+
+
+def _cauchy_sums_direct(x, u, shift=0.0, chunk: int = 256):
+    out = np.empty(x.shape + u.shape[1:], dtype=np.result_type(u, shift))
+    for start in range(0, x.size, chunk):
+        out[start : start + chunk] = _inverse_or_zero(x[None, :] - x[start : start + chunk, None] - shift) @ u
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -446,19 +486,19 @@ def pv_integral(
 # oscillatory integration
 # ---------------------------------------------------------------------------
 
-def _filon_parabolic_moments(theta: float):
-    """m_k = int_{-1}^{1} u^k e^{-i theta u} du for k = 0, 1, 2."""
-    if abs(theta) < 0.15:
-        t2 = theta * theta
-        m0 = 2.0 * (1 - t2 / 6 + t2 * t2 / 120 - t2 * t2 * t2 / 5040)
-        m1 = -2j * theta * (1 / 3 - t2 / 30 + t2 * t2 / 840 - t2 * t2 * t2 / 45360)
-        m2 = 2.0 * (1 / 3 - t2 / 10 + t2 * t2 / 168 - t2 * t2 * t2 / 6480)
-    else:
-        s, c = np.sin(theta), np.cos(theta)
-        m0 = 2.0 * s / theta
-        m1 = -2j * (s - theta * c) / theta**2
-        m2 = 2.0 * ((theta**2 - 2) * s + 2 * theta * c) / theta**3
-    return m0, m1, m2
+def _filon_parabolic_moments(theta):
+    """m_k = int_{-1}^{1} u^k e^{-i theta u} du for k = 0, 1, 2, elementwise over theta."""
+    small = np.abs(theta) < 0.15
+    t2 = theta * theta
+    t = np.where(small, 1.0, theta)  # the closed forms, kept off theta = 0
+    s, c = np.sin(t), np.cos(t)
+    series = (
+        2.0 * (1 - t2 / 6 + t2 * t2 / 120 - t2 * t2 * t2 / 5040),
+        -2j * theta * (1 / 3 - t2 / 30 + t2 * t2 / 840 - t2 * t2 * t2 / 45360),
+        2.0 * (1 / 3 - t2 / 10 + t2 * t2 / 168 - t2 * t2 * t2 / 6480),
+    )
+    closed = (2.0 * s / t, -2j * (s - t * c) / t**2, 2.0 * ((t**2 - 2) * s + 2 * t * c) / t**3)
+    return tuple(np.where(small, a, b) for a, b in zip(series, closed))
 
 
 def filon_integral(x: np.ndarray, g: np.ndarray, s: float) -> complex:
@@ -468,46 +508,70 @@ def filon_integral(x: np.ndarray, g: np.ndarray, s: float) -> complex:
     and an even point count is closed out with the linear rule on the final
     interval; on any other grid g is taken piecewise linear.
     """
-    return _filon(x, g, s, is_uniform(x))
+    return complex(_filon(x, g, s, is_uniform(x)))
 
 
-def _filon(x: np.ndarray, g: np.ndarray, s: float, uniform: bool) -> complex:
+def _filon(x: np.ndarray, g: np.ndarray, s, uniform: bool):
+    """Filon rule for a scalar s, or for a uniform array s when the grid is uniform."""
     n = x.size
     if n < 3 or not uniform:
         return _filon_linear(x, g, s)
     if n % 2 == 0:
         return _filon(x[:-1], g[:-1], s, True) + _filon_linear(x[-2:], g[-2:], s)
     h = float(x[1] - x[0])
-    theta = s * h
-    m0, m1, m2 = _filon_parabolic_moments(theta)
-    a = g[:-2:2]
-    b = g[1::2]
-    c = g[2::2]
-    xm = x[1::2]
-    w_b = m0 - m2
+    m0, m1, m2 = _filon_parabolic_moments(s * h)
     w_ac = 0.5 * m2
-    contrib = (w_ac - 0.5 * m1) * a + w_b * b + (w_ac + 0.5 * m1) * c
-    return complex(h * np.sum(np.exp(-1j * s * xm) * contrib))
+    # weights of each parabola's left, middle and right sample, and those samples
+    weights = (w_ac - 0.5 * m1, m0 - m2, w_ac + 0.5 * m1)
+    samples = (g[:-2:2], g[1::2], g[2::2])
+    xm = x[1::2]
+    if np.ndim(s) == 0:
+        return h * np.sum(np.exp(-1j * s * xm) * sum(w * v for w, v in zip(weights, samples)))
+    sums = _chirp_z(xm, np.stack(samples, axis=1), s)
+    return h * sum(w * sums[:, k] for k, w in enumerate(weights))
 
 
-def _filon_linear(x: np.ndarray, g: np.ndarray, s: float) -> complex:
-    """Exact e^{-i s x} integral of the piecewise-linear interpolant."""
+def _chirp_z(xm: np.ndarray, v: np.ndarray, s: np.ndarray):
+    """sum_k v[k] e^{-i s_m xm[k]} per column of v and per entry of a uniform array s.
+
+    The chirp-z transform (Bluestein): with x_k = x_r + k' dx and
+    s_m = s_r + m' ds, s_m x_k = s_m x_r + s_r k' dx + m' k' ds dx and
+    2 m' k' = m'^2 + k'^2 - (m' - k')^2, so the sums are one Toeplitz
+    convolution.  The reference nodes are the middles, to keep phases small.
+    """
+    kr, mr = xm.size // 2, s.size // 2
+    alpha = 0.5 * (s[-1] - s[0]) / (s.size - 1) * (xm[-1] - xm[0]) / max(xm.size - 1, 1)
+    k, m = np.arange(xm.size) - kr, np.arange(s.size) - mr
+    pre = np.exp(-1j * s[mr] * (xm - xm[kr])) * np.conj(_square_chirp(alpha, k))
+    chirp = _square_chirp(alpha, np.arange(1 - xm.size, s.size) - (mr - kr))
+    post = np.exp(-1j * s * xm[kr]) * np.conj(_square_chirp(alpha, m))
+    return post[:, None] * _toeplitz_apply(chirp, pre[:, None] * v)
+
+
+def _square_chirp(alpha: float, j: np.ndarray):
+    """e^{i alpha j^2} for integers j.  These phases grow far past the s x they combine
+    into, so alpha splits into a head with exact products alpha j^2 and a small tail."""
+    bits = 53 - int(np.max(j * j)).bit_length() - np.frexp(alpha)[1]
+    head = np.ldexp(np.round(np.ldexp(alpha, bits)), -bits)
+    return np.exp(1j * head * (j * j)) * np.exp(1j * (alpha - head) * (j * j))
+
+
+def _filon_linear(x: np.ndarray, g: np.ndarray, s):
+    """Exact e^{-i s x} integral of the piecewise-linear interpolant, broadcast over s."""
     h = np.diff(x)
     xm = 0.5 * (x[:-1] + x[1:])
+    s = np.asarray(s, dtype=float)[..., None]
     theta = s * h / 2.0
     small = np.abs(theta) < 0.1
-    mu0 = np.empty(h.size, dtype=complex)
-    mu1 = np.empty(h.size, dtype=complex)
-    t2 = theta[small] ** 2
-    mu0[small] = h[small] * (1 - t2 / 6 + t2 * t2 / 120)
+    t2 = theta**2
+    s_off = np.where(small, 1.0, s)  # the closed forms, kept off s = 0
     # sin(t) - t cos(t) = t^3/3 - t^5/30 + ...
-    mu1[small] = -1j * h[small] ** 2 / 4 * (2.0 / 3.0 * theta[small] - theta[small] * t2 / 15.0)
-    tb = theta[~small]
-    mu0[~small] = 2.0 * np.sin(tb) / s
-    mu1[~small] = -2j * (np.sin(tb) - tb * np.cos(tb)) / s**2
+    series = (h * (1 - t2 / 6 + t2 * t2 / 120), -1j * h**2 / 4 * (2.0 / 3.0 * theta - theta * t2 / 15.0))
+    closed = (2.0 * np.sin(theta) / s_off, -2j * (np.sin(theta) - theta * np.cos(theta)) / s_off**2)
+    mu0, mu1 = (np.where(small, a, b) for a, b in zip(series, closed))
     avg = 0.5 * (g[:-1] + g[1:])
     slope = np.diff(g) / h
-    return complex(np.sum(np.exp(-1j * s * xm) * (avg * mu0 + slope * mu1)))
+    return np.sum(np.exp(-1j * s * xm) * (avg * mu0 + slope * mu1), axis=-1)
 
 
 def fourier_integral_sampled(x, g, s) -> ValueWithError:
@@ -515,15 +579,20 @@ def fourier_integral_sampled(x, g, s) -> ValueWithError:
 
     The estimate is the gap to the same rule on every other node, divided by
     5 for the parabolic rule of uniform grids and by 3 for the linear rule.
+    s may be a 1-D array, giving arrays of values and errors: on a uniform
+    grid a uniform s takes the chirp-z sums, any other s the rule per entry.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=complex)
     # one uniformity test for both rules: every other node of a uniform grid is uniform
     uniform = is_uniform(x)
+    if np.ndim(s) == 1 and not (uniform and len(s) > 1 and is_uniform(s)):
+        pairs = [fourier_integral_sampled(x, g, si) for si in s]
+        return ValueWithError(np.array([p.value for p in pairs]), np.array([p.error for p in pairs]))
+    s = np.asarray(s, dtype=float)
     full = _filon(x, g, s, uniform)
     half = _filon(x[::2], g[::2], s, uniform)
-    divisor = 5.0 if uniform and x.size >= 3 else 3.0
-    return ValueWithError(full, abs(full - half) / divisor)
+    return ValueWithError(full, np.abs(full - half) / (5.0 if uniform and x.size >= 3 else 3.0))
 
 
 def default_energy_grid(poles, n: int, hi: float = 10.0) -> np.ndarray:

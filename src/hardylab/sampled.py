@@ -159,9 +159,9 @@ class SampledComplexFunction:
 
 
 def is_uniform(grid) -> bool:
-    """Whether the grid spacing is constant to 1e-9 of the first step."""
+    """Whether the grid spacing is constant to 1e-9 of the first step (always, below 2 points)."""
     d = np.diff(grid)
-    return bool(np.max(np.abs(d - d[0])) <= 1e-9 * abs(d[0]))
+    return d.size == 0 or bool(np.max(np.abs(d - d[0])) <= 1e-9 * abs(d[0]))
 
 
 def uniform_grid(lo: float, hi: float, n: int = 4096) -> np.ndarray:

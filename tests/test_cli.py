@@ -1,12 +1,25 @@
 """CLI contract: exit codes, config precedence, deterministic outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hardylab import SampledComplexFunction, SimplePole, uniform_grid
+import hardylab
+
+from hardylab import (
+    HalfPlane,
+    SampledComplexFunction,
+    SimplePole,
+    estimate_tail,
+    hilbert_transform,
+    uniform_grid,
+)
 from hardylab.cli import main
 
 
@@ -53,6 +66,19 @@ class TestKkCheck:
         assert report["max_residual"] <= 1e-3
         recon = SampledComplexFunction.from_csv(out)
         assert len(recon) == 4096
+
+    def test_output_holds_both_reconstructions(self, runner, lorentzian_csv, tmp_path):
+        path, _ = lorentzian_csv
+        out = tmp_path / "recon.csv"
+        result = runner.invoke(main, ["kk-check", str(path), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        f = SampledComplexFunction.from_csv(path)
+        f = f.with_tail(estimate_tail(f))
+        re_from_im = hilbert_transform(f, HalfPlane.UPPER, "im").values.real
+        im_from_re = hilbert_transform(f, HalfPlane.UPPER, "re").values.imag
+        want = tmp_path / "want.csv"
+        SampledComplexFunction(f.grid, re_from_im + 1j * im_from_re).to_csv(want)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_acausal_fixture_fails(self, runner, lorentzian_csv, tmp_path):
         path, f = lorentzian_csv
@@ -320,3 +346,11 @@ class TestConfigEcho:
         result = runner.invoke(main, ["kk-check", str(path), "--config", str(cfg)])
         first = json.loads(result.output.splitlines()[0])
         assert first["config"]["tolerance"] == 0.5
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal costs about 0.7 s of start-up; the FFT forms need only scipy.fft
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, hardylab.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hardylab import hardy, quadrature
 from hardylab import (
     ComplexExponentialSignal,
     DampedSine,
@@ -311,3 +312,73 @@ class TestRationalExtension:
         exact = model(extended.grid[neg].astype(complex))
         assert np.max(np.abs(extended.values[neg] - exact)) < 1e-6
         assert resid < 1e-8
+
+
+def _per_s_fourier(x, g, s):
+    pairs = [quadrature.fourier_integral_sampled(x, g, si) for si in s]
+    return quadrature.ValueWithError(np.array([p.value for p in pairs]), np.array([p.error for p in pairs]))
+
+
+def fast_and_direct(monkeypatch, compute):
+    """compute() as shipped, then with direct O(n^2) Cauchy sums and per-frequency Filon."""
+    fast = compute()
+    with monkeypatch.context() as m:
+        m.setattr(hardy, "cauchy_sums", quadrature._cauchy_sums_direct)
+        m.setattr(hardy, "fourier_integral_sampled", _per_s_fourier)
+        direct = compute()
+    return fast, direct
+
+
+def upper_hilbert(f, given):
+    return hilbert_transform(f, HalfPlane.UPPER, given).values
+
+
+def assert_close_to_peak(fast, direct, rel=1e-12):
+    assert np.max(np.abs(np.asarray(fast) - direct)) <= rel * np.max(np.abs(direct))
+
+
+class TestFastPathsMatchDirectSums:
+    """Uniform grids take FFT forms of the sums; they agree with the direct sums to rounding."""
+
+    @pytest.mark.parametrize("n", [4001, 4096])
+    @pytest.mark.parametrize("given", ["re", "im"])
+    def test_hilbert_transform(self, monkeypatch, n, given):
+        f = SimplePole(1.3 + 0.4j, 0.7 - 1.1j).sample(uniform_grid(-50.0, 50.0, n))
+        fast, direct = fast_and_direct(monkeypatch, lambda: upper_hilbert(f, given))
+        assert_close_to_peak(fast, direct)
+
+    @pytest.mark.parametrize("hp", [HalfPlane.UPPER, HalfPlane.LOWER])
+    @pytest.mark.parametrize("y", [0.1, 1.0, 10.0])
+    def test_line_values(self, monkeypatch, hp, y):
+        f = UNIT_LORENTZIAN.sample(uniform_grid(-50.0, 50.0, 4001))
+        f = f if hp is HalfPlane.UPPER else conjugate_hardy(f)
+        (fast, fast_err), (direct, direct_err) = fast_and_direct(
+            monkeypatch, lambda: hardy._continue_many(f, hp, hp.sign * y)
+        )
+        assert_close_to_peak(fast, direct)
+        assert fast_err == direct_err
+
+    def test_sampled_criterion(self, monkeypatch):
+        f = UNIT_LORENTZIAN.sample(uniform_grid(-50.0, 50.0, 4001))
+        offsets = [0.1, 1.0, 10.0]
+        fast, direct = fast_and_direct(monkeypatch, lambda: hardy_criterion(f, HalfPlane.UPPER, offsets))
+        assert_close_to_peak(fast.values, direct.values)
+        assert np.allclose(fast.errors, direct.errors, rtol=1e-6, atol=0.0)
+
+    def test_nonuniform_grid_takes_the_direct_sum(self, monkeypatch):
+        f = UNIT_LORENTZIAN.sample(50.0 * np.sinh(np.linspace(-3.0, 3.0, 801)) / np.sinh(3.0))
+        fast, direct = fast_and_direct(monkeypatch, lambda: upper_hilbert(f, "im"))
+        assert np.array_equal(fast, direct)
+
+    def test_acceptance_criteria_01_to_03_inputs(self, monkeypatch):
+        grid = uniform_grid(-20.0, 20.0, 801)
+        for signal in (ComplexExponentialSignal(1.0, 0.5), DampedSineSignal(2.0, 1.0)):
+            fast, direct = fast_and_direct(monkeypatch, lambda: causal_transform(signal, grid).values)
+            assert_close_to_peak(fast, direct)
+        f = SimplePole(1j, -1j).sample(uniform_grid(-50.0, 50.0, 4096))
+        fast, direct = fast_and_direct(monkeypatch, lambda: upper_hilbert(f, "im"))
+        assert_close_to_peak(fast, direct)
+        flipped = f.with_values(-f.values.real + 1j * f.values.imag)
+        fast, direct = fast_and_direct(monkeypatch, lambda: dispersion_residual(flipped, HalfPlane.UPPER))
+        assert_close_to_peak(fast.reconstruction.values, direct.reconstruction.values)
+        assert abs(fast.max_residual - direct.max_residual) <= 1e-12 * direct.max_residual

@@ -3,6 +3,8 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from hardylab import (
@@ -22,10 +24,14 @@ from hardylab import (
     uniform_grid,
 )
 from hardylab.quadrature import (
+    Method,
+    _cauchy_sums_direct,
+    _cauchy_sums_fft,
     expscaled_e1,
     filon_integral,
     fit_tail_expansion,
     fourier_integral_sampled,
+    grid_weights,
     power_kernel_tail,
     power_tail_fourier,
 )
@@ -143,6 +149,15 @@ class TestPowerKernelTail:
             ref = complex(mp.quad(integrand, [-mp.inf, -edge]))
         assert abs(power_kernel_tail(q, edge, z, side) - ref) < 1e-10
 
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_exponent_sequence_matches_single_exponents(self, side):
+        z = np.linspace(-60.0, 60.0, 41) + 0.3j
+        together = power_kernel_tail((2, 3, 4), 50.0, z, side)
+        assert together.shape == (41, 3)
+        for k, q in enumerate((2, 3, 4)):
+            single = power_kernel_tail(q, 50.0, z, side)
+            assert np.max(np.abs(together[:, k] - single)) <= 1e-15 * np.max(np.abs(single))
+
 
 class TestPvIntegral:
     def test_constant_is_exact_zero(self):
@@ -243,6 +258,82 @@ class TestOscillatoryIntegral:
             QuadratureSpec(abs_tol=-1)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+class TestGridWeights:
+    @pytest.mark.parametrize("method", list(Method))
+    def test_one_point_grid(self, method):
+        assert np.array_equal(grid_weights(np.array([0.0]), method), [0.0])
+
+
+class TestCauchySums:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(16, 600),
+        lo=st.floats(-5.0, 5.0),
+        h=st.floats(0.01, 1.0),
+        y=st.one_of(st.just(0.0), st.floats(0.05, 20.0), st.floats(-20.0, -0.05)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fft_equals_direct_on_uniform_grids(self, n, lo, h, y, seed):
+        rng = np.random.default_rng(seed)
+        x = lo + h * np.arange(n)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        fast = _cauchy_sums_fft(x, u, 1j * y)
+        direct = _cauchy_sums_direct(x, u, 1j * y)
+        assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_zero_shift_leaves_out_the_diagonal(self):
+        x = np.linspace(0.0, 3.0, 4)
+        u = np.array([1.0, 2.0, 0.0, 0.0])
+        # node 0 sees u_1 / (x_1 - x_0) only; node 1 sees u_0 / (x_0 - x_1) only
+        for sums in (_cauchy_sums_fft(x, u), _cauchy_sums_direct(x, u)):
+            assert np.allclose(sums, [2.0, -1.0, 1.0 / -2.0 + 2.0 / -1.0, 1.0 / -3.0 + 2.0 / -2.0])
+
+
+def per_s_calls(x, g, s):
+    """fourier_integral_sampled one scalar s at a time: the reference rule."""
+    pairs = [fourier_integral_sampled(x, g, si) for si in s]
+    return np.array([p.value for p in pairs]), np.array([p.error for p in pairs])
+
+
+class TestFourierOverFrequencyArray:
+    @pytest.mark.parametrize("n", [4097, 4096])
+    @pytest.mark.parametrize(
+        "s",
+        [
+            np.linspace(-20.0, 20.0, 801),
+            np.linspace(-5.0, 5.0, 21),
+            [0.5, 7.5],
+            np.linspace(30.0, -10.0, 161),
+            np.linspace(-1000.0, 1000.0, 3),
+        ],
+        # the last spacing puts chirp phases near 1e7 rad, which must not be rounded
+        ids=["wide", "through-zero", "two-points", "descending", "coarse"],
+    )
+    def test_uniform_s_matches_per_s_calls(self, n, s):
+        x = np.linspace(0.0, 60.0, n)
+        g = np.exp(-0.5 * x) * np.sin(2 * x) + 0j
+        value, error = fourier_integral_sampled(x, g, np.asarray(s))
+        ref_value, ref_error = per_s_calls(x, g, s)
+        peak = np.max(np.abs(ref_value))
+        assert np.max(np.abs(value - ref_value)) <= 1e-12 * peak
+        assert np.allclose(error, ref_error, rtol=1e-6, atol=1e-12 * peak)
+
+    @pytest.mark.parametrize(
+        "x, s",
+        [
+            (np.linspace(0.0, 60.0, 4097), np.array([-3.0, -1.0, 0.0, 0.5, 4.0])),
+            (60.0 * np.linspace(0.0, 1.0, 4097) ** 2, np.linspace(-5.0, 5.0, 11)),
+        ],
+        ids=["nonuniform-s", "nonuniform-x"],
+    )
+    def test_other_grids_take_the_per_s_rule(self, x, s):
+        g = np.exp(-0.5 * x) * np.sin(2 * x) + 0j
+        value, error = fourier_integral_sampled(x, g, s)
+        ref_value, ref_error = per_s_calls(x, g, s)
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(error, ref_error)
 
 
 class TestFilonEngine:
