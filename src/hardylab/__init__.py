@@ -54,6 +54,7 @@ from .quadrature import (
     pole_fourier_integral,
     pv_integral,
     rational_halfline_fourier,
+    rational_line_integral,
 )
 from .hardy import (
     CallableCausalSignal,

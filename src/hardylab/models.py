@@ -172,11 +172,6 @@ class SimplePole(AnalyticModel):
     def as_terms(self):
         return ((self.coefficient, self.pole),)
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = self.coefficient / (z - self.pole)
-        return out if out.ndim else complex(out)
-
     def to_json_dict(self):
         return {
             "kind": "simple_pole",

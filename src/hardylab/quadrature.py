@@ -17,6 +17,8 @@ All estimates returned here are numerical error estimates, not proofs.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +29,7 @@ from scipy.special import exp1
 from .errors import (
     NegativeTime,
     NonDecayingIntegrand,
+    PoleOnContinuationLine,
     SingularityOutsideGrid,
     ToleranceNotMet,
 )
@@ -62,7 +65,7 @@ class ValueWithError(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# scaled exponential integral and half-line pole integrals
+# exponential integrals and closed-form pole integrals
 # ---------------------------------------------------------------------------
 
 def _expscaled_e1_cf(z: complex, max_iter: int = 500, tol: float = 1e-16):
@@ -119,6 +122,13 @@ def pole_fourier_integral(pole: complex, t: float) -> complex:
     return out
 
 
+def _require_order1_cancellation(terms):
+    c1 = sum(c for c, _, m in terms if m == 1)
+    scale = sum(abs(c) for c, _, m in terms if m == 1)
+    if abs(c1) > 1e-9 * max(1.0, scale):
+        raise NonDecayingIntegrand("order-1 residues do not cancel; the integral diverges")
+
+
 def rational_halfline_fourier(terms, t: float) -> complex:
     """int_0^inf e^{-i E t} sum_k c_k / (E - p_k)**m_k dE.
 
@@ -140,12 +150,7 @@ def rational_halfline_fourier(terms, t: float) -> complex:
             raise ValueError("pole on the integration path")
 
     if t == 0:
-        c1 = sum(c for c, _, m in terms if m == 1)
-        scale = sum(abs(c) for c, _, m in terms if m == 1)
-        if abs(c1) > 1e-9 * max(1.0, scale):
-            raise NonDecayingIntegrand(
-                "order-1 residues do not cancel; integral diverges at t = 0"
-            )
+        _require_order1_cancellation(terms)
         total = 0j
         for c, p, m in terms:
             if m == 1:
@@ -166,6 +171,84 @@ def rational_halfline_fourier(terms, t: float) -> complex:
             ks.append((-p) ** (1 - m) / (m - 1) - 1j * t / (m - 1) * ks[-1])
         k_cache[p] = ks
     return complex(sum(c * k_cache[p][m - 1] for c, p, m in terms))
+
+
+def rational_line_integral(terms) -> ValueWithError:
+    """int over the real line of sum_k c_k / (E - p_k)**m_k dE for a list of (c_k, p_k, m_k).
+
+    Orders >= 2 integrate to zero and order 1 gives i pi c_k sign(Im p_k), once the
+    order-1 coefficients cancel (NonDecayingIntegrand otherwise).  A pole on the
+    line raises PoleOnContinuationLine.
+    """
+    for _, p, _ in terms:
+        if abs(p.imag) <= 1e-12 * max(1.0, abs(p)):
+            raise PoleOnContinuationLine(f"pole at {p} lies on the integration line")
+    _require_order1_cancellation(terms)
+    pieces = [1j * np.pi * np.sign(p.imag) * c for c, p, m in terms if m == 1]
+    # the pole route's rounding estimate: 1e-13 of the summed magnitudes of the pieces
+    return ValueWithError(complex(sum(pieces)), 1e-13 * max(1.0, sum(abs(v) for v in pieces)))
+
+
+# ---------------------------------------------------------------------------
+# partial fractions of products of pole sums
+# ---------------------------------------------------------------------------
+
+def _group_poles(poles, rel_tol=1e-12):
+    groups: list[tuple[complex, int]] = []
+    for p in poles:
+        for i, (q, m) in enumerate(groups):
+            if abs(p - q) <= rel_tol * max(1.0, abs(p), abs(q)):
+                groups[i] = (q, m + 1)
+                break
+        else:
+            groups.append((p, 1))
+    return groups
+
+
+def _pole_product_partial_fractions(coeff: complex, poles) -> list:
+    """Partial fractions of coeff * prod_j 1/(E - q_j), repeated poles allowed.
+
+    For a pole p of multiplicity m the coefficient of (E-p)^{-k} is the
+    Taylor coefficient of order m-k, at p, of the product of the remaining
+    factors; each factor 1/(E-q) contributes the geometric series
+    (-1)^n (E-p)^n / (p-q)^{n+1}, and series are multiplied by convolution.
+    """
+    groups = _group_poles(list(poles))
+    terms = []
+    for p, m in groups:
+        series = np.zeros(m, dtype=complex)
+        series[0] = 1.0
+        for q, mq in groups:
+            if q == p:
+                continue
+            n = np.arange(m)
+            factor = (-1.0) ** n / (p - q) ** (n + 1)
+            for _ in range(mq):
+                series = np.convolve(series, factor)[:m]
+        for k in range(1, m + 1):
+            terms.append((coeff * series[m - k], p, k))
+    return terms
+
+
+def pole_sum_product(factors) -> list:
+    """Partial fractions of prod_f sum_k c_fk / (E - p_fk), as (coefficient, pole, order) terms.
+
+    Each factor is a sequence of (coefficient, pole) pairs; a pole of None
+    marks the factor's constant term.  The products are expanded in factor
+    order, and each product's coefficient multiplies its constants first.
+    """
+    terms = []
+    for choice in itertools.product(*factors):
+        poles = [p for _, p in choice if p is not None]
+        coeffs = [c for c, p in choice if p is None] + [c for c, p in choice if p is not None]
+        terms.extend(_pole_product_partial_fractions(math.prod(coeffs[1:], start=coeffs[0]), poles))
+    return terms
+
+
+def modulus_squared_terms(model: AnalyticModel, y: float = 0.0) -> list:
+    """Partial fractions of |model(E + i y)|^2 for real E: the poles move to p - i y."""
+    terms = [(c, p - 1j * y) for c, p in model.as_terms()]
+    return pole_sum_product([[(np.conj(c), np.conj(q)) for c, q in terms], terms])
 
 
 def power_tail_fourier(q: int, edge: float, t: float) -> complex:
@@ -620,16 +703,13 @@ def oscillatory_integral(g, t: float) -> ValueWithError:
         raise NegativeTime(f"t = {t} < 0")
 
     if isinstance(g, AnalyticModel):
-        terms = [(c, p, 1) for c, p in g.as_terms()]
-        if not terms:
-            return ValueWithError(0j, 0.0)
-        value = rational_halfline_fourier(terms, t)
-        parts = (
-            [abs(c) * abs(rational_halfline_fourier([(1, p, 1)], t)) for c, p in g.as_terms()]
-            if t > 0
-            else [abs(value)]
-        )
-        return ValueWithError(value, 1e-13 * max(1.0, sum(parts)))
+        terms = g.as_terms()
+        value = rational_halfline_fourier([(c, p, 1) for c, p in terms], t)
+        if t > 0:
+            scale = sum(abs(c) * abs(pole_fourier_integral(p, t)) for c, p in terms)
+        else:
+            scale = abs(value)
+        return ValueWithError(value, 1e-13 * max(1.0, scale))
 
     if not isinstance(g, SampledComplexFunction):
         raise TypeError("g must be an AnalyticModel or SampledComplexFunction")

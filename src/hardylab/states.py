@@ -17,12 +17,18 @@ from dataclasses import InitVar, dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import integrate
 
 from .errors import HardyLabError, InvalidSpec, NegativeTime, NonAnalyticInput
 from .hardy import hardy_criterion
 from .models import AnalyticModel, HalfPlane, RationalSum, SimplePole
-from .quadrature import Method, grid_weights, squared_tail_integral
+from .quadrature import (
+    Method,
+    grid_weights,
+    modulus_squared_terms,
+    rational_halfline_fourier,
+    rational_line_integral,
+    squared_tail_integral,
+)
 from .sampled import SampledComplexFunction
 
 import enum
@@ -104,17 +110,7 @@ class ChannelFunction:
     def norm_squared(self) -> float:
         """int_0^inf |value(E)|^2 dE; the phase drops out of the modulus."""
         if self.is_analytic:
-            if self.base.is_zero:
-                return 0.0
-            val, _ = integrate.quad(
-                lambda e: abs(self.base(e + 0j)) ** 2,
-                0.0,
-                np.inf,
-                epsabs=1e-12,
-                epsrel=1e-11,
-                limit=400,
-            )
-            return float(val)
+            return rational_halfline_fourier(modulus_squared_terms(self.base), 0.0).real
         f = self.base
         lo = np.searchsorted(f.grid, 0.0)
         if lo >= len(f) - 1:
@@ -176,9 +172,7 @@ class EnergyWaveFunction:
 
     @property
     def is_zero(self) -> bool:
-        return all(
-            fn.is_analytic and fn.base.is_zero for fn in self.channels.values()
-        ) or not self.channels
+        return all(fn.is_analytic and fn.base.is_zero for fn in self.channels.values())
 
     def map_channels(self, op, kind=None, validate=False) -> "EnergyWaveFunction":
         return EnergyWaveFunction(
@@ -429,7 +423,8 @@ def semigroup_divergence_check(
     For t < 0 the phase factor contributes e^{2|t| gamma} on the line
     Im z = -gamma, so the line integrals of the would-be evolved state grow
     without bound as gamma increases.  The verdict is "diverges" when every
-    consecutive ratio matches the predicted growth within 10%.
+    consecutive ratio matches the predicted growth within 10%.  A line that
+    passes through a pole raises PoleOnContinuationLine.
     """
     if t >= 0:
         raise ValueError("divergence check needs strictly negative t")
@@ -442,25 +437,16 @@ def semigroup_divergence_check(
         if not fn.is_analytic:
             raise NonAnalyticInput(f"channel {ch} is sampled; continuation needs a model")
 
-    def line_integral(gamma: float, phased: bool) -> float:
+    def line_integral(gamma: float, dt: float) -> float:
+        # on Im z = -gamma the phase has the constant modulus |e^{-i z tau}|^2 = e^{-2 gamma tau}
         total = 0.0
         for fn in w.channels.values():
-            if fn.base.is_zero:
-                continue
-            tau = fn.phase_time + t if phased else fn.phase_time
-
-            def integrand(e, fn=fn, tau=tau, gamma=gamma):
-                z = e - 1j * gamma
-                return abs(np.exp(-1j * z * tau) * fn.base(z)) ** 2
-
-            val, _ = integrate.quad(
-                integrand, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400
-            )
-            total += val
+            line, _ = rational_line_integral(modulus_squared_terms(fn.base, -gamma))
+            total += np.exp(-2.0 * gamma * (fn.phase_time + dt)) * line.real
         return total
 
-    evolved = [line_integral(g, True) for g in offs]
-    base = [line_integral(g, False) for g in offs]
+    evolved = [line_integral(g, t) for g in offs]
+    base = [line_integral(g, 0.0) for g in offs]
 
     predicted, actual = [], []
     for k in range(len(offs) - 1):

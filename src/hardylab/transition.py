@@ -23,7 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibleChannels, NegativeTime
-from .quadrature import default_energy_grid, oscillatory_integral, rational_halfline_fourier
+from .quadrature import (
+    default_energy_grid,
+    oscillatory_integral,
+    pole_sum_product,
+    rational_halfline_fourier,
+)
 from .sampled import SampledComplexFunction, TailModel, _read_csv, _write_csv
 from .states import Channel, ChannelFunction, EnergyWaveFunction, WaveKind
 # not called here; perfbench/tracing.py wraps these bindings as its states.evolve boundary
@@ -268,72 +273,15 @@ def amplitude_results_to_json(results) -> str:
     )
 
 
-# ---------------------------------------------------------------------------
-# partial fractions for the rational route
-# ---------------------------------------------------------------------------
-
-def _group_poles(poles, rel_tol=1e-12):
-    groups: list[tuple[complex, int]] = []
-    for p in poles:
-        for i, (q, m) in enumerate(groups):
-            if abs(p - q) <= rel_tol * max(1.0, abs(p), abs(q)):
-                groups[i] = (q, m + 1)
-                break
-        else:
-            groups.append((p, 1))
-    return groups
-
-
-def _pole_product_partial_fractions(coeff: complex, poles) -> list:
-    """Partial fractions of coeff * prod_j 1/(E - q_j), repeated poles allowed.
-
-    For a pole p of multiplicity m the coefficient of (E-p)^{-k} is the
-    Taylor coefficient of order m-k, at p, of the product of the remaining
-    factors; each factor 1/(E-q) contributes the geometric series
-    (-1)^n (E-p)^n / (p-q)^{n+1}, and series are multiplied by convolution.
-    """
-    groups = _group_poles(list(poles))
-    terms = []
-    for p, m in groups:
-        series = np.zeros(m, dtype=complex)
-        series[0] = 1.0
-        for q, mq in groups:
-            if q == p:
-                continue
-            n = np.arange(m)
-            factor = (-1.0) ** n / (p - q) ** (n + 1)
-            full = series
-            for _ in range(mq):
-                conv = np.convolve(full, factor)[:m]
-                full = conv
-            series = full
-        for k in range(1, m + 1):
-            terms.append((coeff * series[m - k], p, k))
-    return terms
-
-
 def _channel_rational_terms(psi: ChannelFunction, phi: ChannelFunction, s_entry):
     """Pole-order terms of conj(psi)(E) phi(E) S(E), or None if not rational."""
-    if not (psi.is_analytic and phi.is_analytic):
-        return None
     rat = s_entry.as_rational()
-    if rat is None:
+    if rat is None or not (psi.is_analytic and phi.is_analytic):
         return None
     background, s_terms = rat
     psi_terms = [(np.conj(c), np.conj(p)) for c, p in psi.base.as_terms()]
-    phi_terms = phi.base.as_terms()
-    out = []
-    for c1, p1 in psi_terms:
-        for c2, p2 in phi_terms:
-            if background != 0:
-                out.extend(
-                    _pole_product_partial_fractions(background * c1 * c2, [p1, p2])
-                )
-            for cs, ps in s_terms:
-                out.extend(
-                    _pole_product_partial_fractions(c1 * c2 * cs, [p1, p2, ps])
-                )
-    return out
+    s_factor = ([(background, None)] if background != 0 else []) + list(s_terms)
+    return pole_sum_product([psi_terms, phi.base.as_terms(), s_factor])
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +352,8 @@ def transition_amplitude(
         t_eff = t + phi.phase_time - psi.phase_time
         if t_eff < 0:
             raise NegativeTime(f"effective time {t_eff} < 0 in channel {ch}")
-        terms = None
-        if method in ("auto", "pole_residue"):
-            terms = _channel_rational_terms(psi, phi, s.entry(ch))
-        if terms is not None and method != "quadrature":
+        terms = _channel_rational_terms(psi, phi, s.entry(ch)) if method != "quadrature" else None
+        if terms is not None:
             value = rational_halfline_fourier(terms, t_eff)
             # cancellation-aware scale: the sum of magnitudes of the pieces
             if t_eff > 0:

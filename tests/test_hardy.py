@@ -264,6 +264,20 @@ class TestTitchmarsh:
         with pytest.raises(TruncationErrorExceeded):
             titchmarsh_continuation(f, HalfPlane.UPPER, 0.5j, tolerance=1e-14)
 
+    def test_tolerance_contract_for_models(self):
+        # the residue sum's estimate is at rounding level, 1e-13 or more
+        value, error = titchmarsh_continuation(UNIT_LORENTZIAN, HalfPlane.UPPER, 0.5j, tolerance=1e-12)
+        assert abs(value - UNIT_LORENTZIAN(0.5j)) <= error <= 1e-12
+        with pytest.raises(TruncationErrorExceeded):
+            titchmarsh_continuation(UNIT_LORENTZIAN, HalfPlane.UPPER, 0.5j, tolerance=1e-16)
+
+    def test_mixed_poles_keep_only_the_outside_residues(self):
+        # the pole at 1 + 2i lies inside the upper half-plane and adds nothing
+        inside, outside = SimplePole(2.0, 1 + 2j), SimplePole(1j, -1 - 0.5j)
+        z = 0.3 + 0.8j
+        value, _ = titchmarsh_continuation(RationalSum((inside, outside)), HalfPlane.UPPER, z)
+        assert abs(value - outside(z)) <= 1e-15
+
     def test_missing_tail(self):
         f = UNIT_LORENTZIAN.sample(uniform_grid(-30, 30, 512)).with_tail(None)
         with pytest.raises(MissingTailModel):

@@ -5,22 +5,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from hardylab import (
+    Channel,
+    EnergyWaveFunction,
+    HalfPlane,
     NegativeTime,
     NonDecayingIntegrand,
+    PoleOnContinuationLine,
     QuadratureSpec,
+    RationalSum,
     SampledComplexFunction,
     SingularityOutsideGrid,
     SimplePole,
     TailModel,
     ToleranceNotMet,
+    WaveKind,
+    hardy_criterion,
     lorentzian_model,
     oscillatory_integral,
     pole_fourier_integral,
     pv_integral,
     rational_halfline_fourier,
+    rational_line_integral,
+    semigroup_divergence_check,
+    titchmarsh_continuation,
     uniform_grid,
 )
 from hardylab.quadrature import (
@@ -32,9 +42,12 @@ from hardylab.quadrature import (
     fit_tail_expansion,
     fourier_integral_sampled,
     grid_weights,
+    modulus_squared_terms,
+    pole_sum_product,
     power_kernel_tail,
     power_tail_fourier,
 )
+from hardylab.states import ChannelFunction
 
 
 def brute_halfline_pole(pole, t, edge=4000.0, n=2_000_001):
@@ -114,6 +127,48 @@ class TestRationalHalflineFourier:
     def test_negative_time_rejected(self):
         with pytest.raises(NegativeTime):
             rational_halfline_fourier([(1.0, 2 + 0.5j, 1)], -0.1)
+
+
+class TestRationalLineIntegral:
+    def test_lorentzian_density(self):
+        # int dE / ((E - a)^2 + c^2) = pi / c over the real line
+        terms = [(c, p, 1) for c, p in lorentzian_model(2.0, 1.0).as_terms()]
+        value, error = rational_line_integral(terms)
+        assert abs(value - 2.0 * np.pi) < 1e-14
+        assert 0 < error < 1e-12
+
+    def test_higher_orders_integrate_to_zero(self):
+        value, _ = rational_line_integral([(1.0, 1 + 2j, 2), (3.0, -1 - 0.5j, 3)])
+        assert value == 0
+
+    def test_non_cancelling_order_one_diverges(self):
+        with pytest.raises(NonDecayingIntegrand):
+            rational_line_integral([(1.0, 2 + 0.5j, 1), (-0.5, 1 - 0.5j, 1)])
+
+    def test_pole_on_the_line(self):
+        with pytest.raises(PoleOnContinuationLine):
+            rational_line_integral([(1.0, 2 + 0.5j, 1), (-1.0, 3 + 0j, 1)])
+
+
+class TestPoleSumProduct:
+    def test_matches_the_product_with_repeated_poles_and_a_constant(self):
+        factors = [
+            [(1 + 1j, 1 + 2j), (0.5, -1 + 0.5j)],
+            [(2.0, 1 + 2j), (-1j, 3 - 1j)],
+            [(0.3 - 0.2j, None), (0.7, 1 + 2j)],
+        ]
+        z = np.array([0.3 + 0.1j, -2.0 + 4j, 5.0 - 3j])
+        product = np.prod([sum(c if p is None else c / (z - p) for c, p in f) for f in factors], axis=0)
+        terms = pole_sum_product(factors)
+        assert max(m for _, _, m in terms) == 3
+        expanded = sum(c / (z - p) ** m for c, p, m in terms)
+        assert np.allclose(expanded, product, rtol=1e-13, atol=0)
+
+    def test_modulus_squared_on_a_shifted_line(self):
+        model = RationalSum((SimplePole(1 + 2j, 1 + 1j), SimplePole(0.5j, -2 + 0.3j)))
+        w = np.array([-3.0, 0.0, 0.7, 10.0])
+        expanded = sum(c / (w - p) ** m for c, p, m in modulus_squared_terms(model, 0.4))
+        assert np.allclose(expanded, np.abs(model(w + 0.4j)) ** 2, rtol=1e-13, atol=0)
 
 
 class TestPowerTailFourier:
@@ -389,3 +444,99 @@ class TestTailExpansion:
         assert exp.exponents[0] == 2
         assert abs(exp.coeffs[0] - (2 - 1j)) < 1e-9
         assert exp.residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# residue sums of analytic models against QUADPACK
+# ---------------------------------------------------------------------------
+
+QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-13, limit=1000)
+
+
+def quad_complex(fn, lo, hi, breaks):
+    """QUADPACK on [lo, hi] split at the breaks, Re and Im apart; (value, error)."""
+    cuts = [lo] + sorted(b for b in set(breaks) if lo < b < hi) + [hi]
+    value, error = 0j, 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        re, re_err = quad(lambda x: fn(x).real, a, b, **QUAD_OPTS)
+        im, im_err = quad(lambda x: fn(x).imag, a, b, **QUAD_OPTS)
+        value += complex(re, im)
+        error += re_err + im_err
+    return value, error
+
+
+@st.composite
+def pole_sets(draw, signs):
+    """1-3 simple poles, |Im p| log-uniform in [1e-2, 10]; some repeated, some mirrored."""
+    n = draw(st.integers(1, 3))
+    terms = []
+    for _ in range(n):
+        mag = draw(st.floats(0.5, 2.0))
+        phase = draw(st.floats(0.0, 2.0 * np.pi))
+        sign = draw(st.sampled_from(signs))
+        pole = complex(draw(st.floats(-5.0, 5.0)), sign * 10.0 ** draw(st.floats(-2.0, 1.0)))
+        terms.append(SimplePole(mag * np.exp(1j * phase), pole))
+    copy = draw(st.sampled_from(["none", "repeat", "mirror"]))
+    if copy != "none" and n > 1:
+        pole = terms[0].pole if copy == "repeat" or len(signs) == 1 else terms[0].pole.conjugate()
+        terms[-1] = SimplePole(terms[-1].coefficient, pole)
+    return RationalSum(tuple(terms))
+
+
+def assert_agrees(value, error, ref, ref_error, scale=None):
+    """Gap <= 1e-12 of the reference (or of a scale where it can vanish) and <= both estimates."""
+    gap = abs(value - ref)
+    assert gap <= 1e-12 * (abs(ref) if scale is None else scale)
+    assert gap <= error + ref_error
+
+
+class TestResidueSumsMatchQuadpack:
+    @settings(max_examples=40, deadline=None)
+    @given(model=pole_sets([-1.0]), gamma=st.floats(0.01, 10.0))
+    def test_criterion(self, model, gamma):
+        result = hardy_criterion(model, HalfPlane.UPPER, [gamma])
+        ref, ref_err = quad_complex(
+            lambda w: abs(model(w + 1j * gamma)) ** 2 + 0j, -np.inf, np.inf, [p.real for p in model.poles()]
+        )
+        assert_agrees(result.values[0], result.errors[0], ref.real, ref_err)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.one_of(pole_sets([-1.0]), pole_sets([-1.0, 1.0])), x=st.floats(-5.0, 5.0), y=st.floats(0.1, 10.0))
+    def test_continuation_hardy_and_mixed_poles(self, model, x, y):
+        z = complex(x, y)
+        value, error = titchmarsh_continuation(model, HalfPlane.UPPER, z)
+        integral, ref_err = quad_complex(
+            lambda w: model(w + 0j) / (w - z), -np.inf, np.inf, [p.real for p in model.poles()] + [x]
+        )
+        # poles inside the half-plane add nothing, so the value can be 0
+        scale = sum(abs(c / (z - p)) for c, p in model.as_terms())
+        assert_agrees(value, error, integral / (2j * np.pi), ref_err / (2 * np.pi), scale)
+        if model.hardy_class() is HalfPlane.UPPER:
+            assert abs(value - model(z)) <= error
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=pole_sets([-1.0, 1.0]))
+    def test_norm(self, model):
+        value = ChannelFunction(model).norm_squared()
+        ref, ref_err = quad_complex(lambda e: abs(model(e + 0j)) ** 2 + 0j, 0.0, np.inf, [p.real for p in model.poles()])
+        # the pole route's rule at t = 0
+        assert_agrees(value, 1e-13 * max(1.0, abs(value)), ref.real, ref_err)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=pole_sets([1.0]),
+        t=st.floats(-2.0, -0.1),
+        offsets=st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2, unique=True),
+    )
+    def test_divergence_check(self, model, t, offsets):
+        w = EnergyWaveFunction(WaveKind.STATE, {Channel(0, 0): model}, validate=False)
+        report = semigroup_divergence_check(w, t, offsets)
+        for gamma, evolved, base in zip(report.offsets, report.evolved_values, report.base_values):
+            for value, tau in ((evolved, t), (base, 0.0)):
+                ref, ref_err = quad_complex(
+                    lambda e: abs(np.exp(-1j * (e - 1j * gamma) * tau) * model(e - 1j * gamma)) ** 2 + 0j,
+                    -np.inf,
+                    np.inf,
+                    [p.real for p in model.poles()],
+                )
+                assert_agrees(value, 1e-13 * max(1.0, abs(value)), ref.real, ref_err)

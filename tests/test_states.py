@@ -13,6 +13,7 @@ from hardylab import (
     LorentzianSpec,
     NegativeTime,
     NonAnalyticInput,
+    PoleOnContinuationLine,
     SampledComplexFunction,
     SimplePole,
     TailModel,
@@ -301,6 +302,12 @@ class TestDivergenceCheck:
     def test_zero_wave_is_degenerate(self):
         report = semigroup_divergence_check(zero_like(lorentzian_state()), -1.0, [1.0, 2.0])
         assert report.verdict == "no divergence"
+
+    def test_line_through_a_pole_raises(self):
+        # the offset 1 line Im z = -1 runs through the pole at 2 - i
+        w = EnergyWaveFunction(WaveKind.STATE, {CH: SimplePole(1, 2 - 1j)}, validate=False)
+        with pytest.raises(PoleOnContinuationLine):
+            semigroup_divergence_check(w, -1.0, [1.0, 2.0])
 
     def test_sampled_channels_rejected(self):
         base = SimplePole(1, 2 + 0.5j).sample(uniform_grid(1e-3, 52.0, 1024))
