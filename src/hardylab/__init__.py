@@ -108,6 +108,7 @@ from .transition import (
 )
 from .ensemble import (
     ComparisonReport,
+    EventTable,
     LabEventRecord,
     SequentialScheme,
     SimultaneousScheme,

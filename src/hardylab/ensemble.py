@@ -13,6 +13,7 @@ curves compared against theoretical P(t).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,13 +34,13 @@ SURVIVAL_CSV_HEADER = "t,survival,err_lo,err_hi"
 
 @dataclass(frozen=True)
 class LabEventRecord:
-    """One preparation/registration pair on the lab clock.
+    """One preparation/registration pair on the lab clock: one row of an EventTable.
 
     t_param = T_reg - T_prep is the interval the microsystem spent
-    undisturbed; the constructor enforces t_param >= 0.  The sampler stores
-    the drawn interval directly so that it is independent of the lab-clock
-    offsets bit for bit (recomputing the difference would round it against
-    large clock readings).
+    undisturbed; the constructor runs the EventTable checks, so t_param >= 0.
+    The sampler stores the drawn interval directly so that it is independent
+    of the lab-clock offsets bit for bit (recomputing the difference would
+    round it against large clock readings).
     """
 
     index: int
@@ -48,24 +49,81 @@ class LabEventRecord:
     t_param: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.index < 1:
+        t_param = None if self.t_param is None else [self.t_param]
+        row = EventTable([self.index], [self.t_prep], [self.t_reg], t_param)
+        for name in ("t_prep", "t_reg", "t_param"):
+            object.__setattr__(self, name, float(getattr(row, name)[0]))
+
+    @classmethod
+    def _view(cls, index, t_prep, t_reg, t_param) -> "LabEventRecord":
+        # a row of a checked table: skip the checks
+        row = object.__new__(cls)
+        row.__dict__.update(index=index, t_prep=t_prep, t_reg=t_reg, t_param=t_param)
+        return row
+
+
+class EventTable:
+    """Lab events as numpy columns: index (int64), t_prep, t_reg, t_param (float64).
+
+    t_param defaults to t_reg - t_prep.  The constructor checks every row:
+    indices are 1-based, no registration precedes its preparation and no
+    t_param is negative (CausalityViolation lists every bad index), clock
+    times are finite, and t_param agrees with the clock times to 1e-9 of
+    max(1, |T_prep|, |T_reg|).  len, iteration and integer indexing give
+    LabEventRecord rows; a slice gives an EventTable; == compares the
+    columns exactly.
+    """
+
+    __slots__ = ("index", "t_prep", "t_reg", "t_param")
+
+    def __init__(self, index, t_prep, t_reg, t_param=None):
+        index = np.asarray(index, dtype=np.int64)
+        t_prep, t_reg = np.asarray(t_prep, dtype=float), np.asarray(t_reg, dtype=float)
+        t_param = t_reg - t_prep if t_param is None else np.asarray(t_param, dtype=float)
+        if index.ndim != 1 or any(c.shape != index.shape for c in (t_prep, t_reg, t_param)):
+            raise ValueError("event columns must be one-dimensional and of equal length")
+        if np.any(index < 1):
             raise ValueError("record index is 1-based")
-        if not (np.isfinite(self.t_prep) and np.isfinite(self.t_reg)):
+        bad = (t_reg < t_prep) | (t_param < 0)
+        if np.any(bad):
+            raise CausalityViolation(index[bad].tolist())
+        if not (np.all(np.isfinite(t_prep)) and np.all(np.isfinite(t_reg))):
             raise ValueError("clock times must be finite")
-        object.__setattr__(self, "t_prep", float(self.t_prep))
-        object.__setattr__(self, "t_reg", float(self.t_reg))
-        if self.t_param is not None:
-            object.__setattr__(self, "t_param", float(self.t_param))
-        if self.t_param is None:
-            object.__setattr__(self, "t_param", self.t_reg - self.t_prep)
-        else:
-            scale = max(1.0, abs(self.t_prep), abs(self.t_reg))
-            if abs(self.t_param - (self.t_reg - self.t_prep)) > 1e-9 * scale:
-                raise ValueError(
-                    f"record {self.index}: t = {self.t_param} inconsistent with clock times"
-                )
-        if self.t_reg < self.t_prep or self.t_param < 0:
-            raise CausalityViolation([self.index])
+        scale = np.maximum(1.0, np.maximum(np.abs(t_prep), np.abs(t_reg)))
+        # negated so that a NaN t_param fails too
+        off = ~(np.abs(t_param - (t_reg - t_prep)) <= 1e-9 * scale)
+        if np.any(off):
+            j = np.argmax(off)
+            raise ValueError(f"record {index[j]}: t = {t_param[j]} inconsistent with clock times")
+        self.index, self.t_prep, self.t_reg, self.t_param = index, t_prep, t_reg, t_param
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.index, self.t_prep, self.t_reg, self.t_param
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    def __iter__(self):
+        return map(LabEventRecord._view, *(c.tolist() for c in self.columns()))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return EventTable(*(c[key] for c in self.columns()))
+        j = operator.index(key)
+        return LabEventRecord._view(*(c[j].item() for c in self.columns()))
+
+    def __eq__(self, other):
+        if not isinstance(other, EventTable):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+
+
+def _as_table(records) -> EventTable:
+    """records as an EventTable, converting any other iterable of records once."""
+    if isinstance(records, EventTable):
+        return records
+    rows = [(r.index, r.t_prep, r.t_reg, r.t_param) for r in records]
+    return EventTable(*zip(*rows)) if rows else EventTable([], [], [], [])
 
 
 @dataclass(frozen=True)
@@ -74,11 +132,8 @@ class SimultaneousScheme:
 
     t0: float = 0.0
 
-    def prep_time(self, index: int) -> float:
-        return float(self.t0)
-
-    def check_length(self, n: int):
-        return
+    def prep_times(self, n: int) -> np.ndarray:
+        return np.full(n, float(self.t0))
 
     def to_json_dict(self):
         return {"kind": "simultaneous", "t0": float(self.t0)}
@@ -96,14 +151,10 @@ class SequentialScheme:
             raise ValueError("sequential preparation instants must be strictly increasing")
         object.__setattr__(self, "times", times)
 
-    def prep_time(self, index: int) -> float:
-        return self.times[index - 1]
-
-    def check_length(self, n: int):
+    def prep_times(self, n: int) -> np.ndarray:
         if len(self.times) < n:
-            raise InvalidSchemeLength(
-                f"scheme provides {len(self.times)} instants for {n} events"
-            )
+            raise InvalidSchemeLength(f"scheme provides {len(self.times)} instants for {n} events")
+        return np.array(self.times[:n])
 
     def to_json_dict(self):
         return {"kind": "sequential", "times": list(self.times)}
@@ -113,7 +164,7 @@ class SequentialScheme:
 # mapping to the quantum time parameter
 # ---------------------------------------------------------------------------
 
-def map_to_parameter_time(events: Sequence[tuple]) -> list[LabEventRecord]:
+def map_to_parameter_time(events: Sequence[tuple]) -> EventTable:
     """Map (T_prep, T_reg) pairs onto parameter-time records.
 
     Every preparation is identified with t = 0, so the record's time
@@ -121,85 +172,102 @@ def map_to_parameter_time(events: Sequence[tuple]) -> list[LabEventRecord]:
     offsets are forgotten.  Raises CausalityViolation listing every 1-based
     index where T_reg < T_prep.
     """
-    bad = [
-        i
-        for i, (t_prep, t_reg) in enumerate(events, start=1)
-        if t_reg < t_prep
-    ]
-    if bad:
-        raise CausalityViolation(bad)
-    return [
-        LabEventRecord(i, float(t_prep), float(t_reg))
-        for i, (t_prep, t_reg) in enumerate(events, start=1)
-    ]
+    pairs = np.asarray(events, dtype=float).reshape(-1, 2)
+    return EventTable(np.arange(1, len(pairs) + 1), pairs[:, 0], pairs[:, 1])
 
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
-def _record_stream(seed: int, index: int) -> np.random.Generator:
-    # Philox is counter-based: keying each record by (seed, index) gives
-    # independent streams that can be generated in any order or in parallel.
-    key = np.array([np.uint64(seed), np.uint64(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11): round multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_SPLIT = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)) for m in _PHILOX_M)
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# draws per block: the block's working arrays stay in cache
+_PHILOX_BLOCK = 1 << 14
 
 
-def _exponential_draw(rng: np.random.Generator, rate: float) -> float:
-    # inverse CDF of the density rate * exp(-rate t); explicit so the mapping
-    # from uniform draws to intervals is portable across implementations
-    u = rng.random()
-    return -np.log1p(-u) / rate
+def _mulhilo(m, x: np.ndarray):
+    """Low and high 64-bit words of m * x, the high word from 32-bit halves."""
+    m, m_lo, m_hi = m
+    x_lo, x_hi = x & _LO32, x >> _32
+    mid = m_hi * x_lo + ((m_lo * x_lo) >> _32)
+    carry = (m_lo * x_hi + (mid & _LO32)) >> _32
+    return m * x, m_hi * x_hi + (mid >> _32) + carry
 
 
-def sample_decay_ensemble(rate: float, n: int, scheme, seed: int) -> list[LabEventRecord]:
+def _philox_block(seed: int, start: int, stop: int) -> np.ndarray:
+    key0, key1 = seed, np.arange(start + 1, stop + 1, dtype=np.uint64)
+    # the first round maps the counter (1, 0, 0, 0) to (seed, 0, i, M0)
+    c0, c1, c3 = (np.full(key1.size, v, dtype=np.uint64) for v in (seed, 0, _PHILOX_M[0]))
+    c2 = key1
+    for _ in range(9):
+        key0 = (key0 + _PHILOX_W[0]) % 2**64
+        key1 = key1 + np.uint64(_PHILOX_W[1])
+        lo0, hi0 = _mulhilo(_PHILOX_SPLIT[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_SPLIT[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ key1, lo0
+    return (c0 >> np.uint64(11)).astype(float) * 2.0**-53
+
+
+def _philox_uniforms(seed: int, n: int) -> np.ndarray:
+    """Record i's uniform draw for i = 1..n, the first .random() of Philox(key=[seed, i]).
+
+    Philox is counter-based: keying each record by (seed, i) gives
+    independent streams, so all n are computed at once, bit-identical to
+    numpy's np.random.Generator(np.random.Philox(key=[seed, i])).random().
+    """
+    if n < 1:
+        raise ValueError("need at least one event")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    blocks = range(0, n, _PHILOX_BLOCK)
+    return np.concatenate([_philox_block(int(seed), a, min(n, a + _PHILOX_BLOCK)) for a in blocks])
+
+
+def _schedule(scheme, t: np.ndarray) -> EventTable:
+    # attach the scheme's preparation instants to the drawn intervals
+    t_prep = scheme.prep_times(t.size)
+    return EventTable(np.arange(1, t.size + 1), t_prep, t_prep + t, t)
+
+
+def sample_decay_ensemble(rate: float, n: int, scheme, seed: int) -> EventTable:
     """Draw n decay intervals from rate * e^{-rate t} and attach clock times.
 
     The interval of record i is drawn from its own Philox stream keyed by
     (seed, i), so identical (rate, n, scheme, seed) reproduce the ensemble
     bit for bit and the draws are independent of the preparation scheme: a
     simultaneous and a sequential run with the same seed share the same
-    multiset of intervals.
+    multiset of intervals.  The inverse CDF is explicit so that the mapping
+    from uniform draws to intervals is portable across implementations.
     """
     if not (np.isfinite(rate) and rate > 0):
         raise InvalidRate(f"decay rate must be > 0, got {rate}")
-    if n < 1:
-        raise ValueError("need at least one event")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    scheme.check_length(n)
-    records = []
-    for i in range(1, n + 1):
-        t_i = _exponential_draw(_record_stream(int(seed), i), rate)
-        t_prep = scheme.prep_time(i)
-        records.append(LabEventRecord(i, t_prep, t_prep + t_i, t_i))
-    return records
+    return _schedule(scheme, -np.log1p(-_philox_uniforms(seed, n)) / rate)
 
 
-def sample_from_survival(t_grid, survival, n: int, scheme, seed: int) -> list[LabEventRecord]:
+def sample_from_survival(t_grid, survival, n: int, scheme, seed: int) -> EventTable:
     """Generic inverse-CDF hook: draw intervals from a tabulated survival curve.
 
-    The curve must be nonincreasing from ~1; draws beyond its last point are
-    clamped to the final grid time.  This is a sampling utility, not a
-    physics model.
+    The table must be finite, on a nondecreasing time grid, and nonincreasing
+    from ~1; draws beyond its last point are clamped to the final grid time.
+    This is a sampling utility, not a physics model.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     surv = np.asarray(survival, dtype=float)
     if t_grid.size != surv.size or t_grid.size < 2:
         raise GridMismatch("survival table needs matching grids with >= 2 points")
+    if not (np.all(np.isfinite(t_grid)) and np.all(np.isfinite(surv))):
+        raise ValueError("survival table must be finite")
+    if np.any(np.diff(t_grid) < 0):
+        raise ValueError("time grid must be nondecreasing")
     if np.any(np.diff(surv) > 1e-12):
         raise ValueError("survival values must be nonincreasing")
-    if n < 1:
-        raise ValueError("need at least one event")
-    scheme.check_length(n)
     # invert S(t) = u by interpolation on the flipped table
-    records = []
-    for i in range(1, n + 1):
-        u = _record_stream(int(seed), i).random()
-        t_i = float(np.interp(u, surv[::-1], t_grid[::-1]))
-        t_prep = scheme.prep_time(i)
-        records.append(LabEventRecord(i, t_prep, t_prep + t_i, t_i))
-    return records
+    return _schedule(scheme, np.interp(_philox_uniforms(seed, n), surv[::-1], t_grid[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,41 +290,38 @@ class SurvivalCurve:
         _write_csv(path, SURVIVAL_CSV_HEADER, zip(*(c.tolist() for c in columns)))
 
 
-def _wilson_bounds(k: int, n: int, z: float):
+def _wilson_bounds(k: np.ndarray, n: int, z: float):
     z2 = z * z
     phat = k / n
     denom = 1.0 + z2 / n
     center = (phat + z2 / (2 * n)) / denom
     half = (z / denom) * np.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n))
     # the interval contains phat analytically; clamp away the round-off
-    return min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
+    return np.minimum(np.maximum(0.0, center - half), phat), np.maximum(np.minimum(1.0, center + half), phat)
 
 
 def survival_curve(records, t_grid, *, z: float = 1.0) -> SurvivalCurve:
     """Fraction of records still undecayed at each grid time.
 
-    Counts t_param > t for t > 0 and t_param >= t at t = 0 (so the curve is
+    Counts t_param > t for t > 0 and t_param >= t at t <= 0 (so the curve is
     exactly 1 at the start for any nonempty ensemble).  Error bands are
     Wilson score intervals at the given z.
     """
-    records = list(records)
-    if not records:
+    table = _as_table(records)
+    if not len(table):
         raise EmptyEnsemble("no records")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise GridMismatch("empty time grid")
+    if np.any(np.isnan(t_grid)):
+        raise ValueError("time grid must not contain NaN")
     if np.any(np.diff(t_grid) < 0):
         raise ValueError("time grid must be nondecreasing")
-    tp = np.array([r.t_param for r in records])
+    tp = np.sort(table.t_param)
     n = tp.size
-    surv = np.empty(t_grid.size)
-    lo = np.empty(t_grid.size)
-    hi = np.empty(t_grid.size)
-    for j, t in enumerate(t_grid):
-        k = int(np.sum(tp >= t)) if t <= 0 else int(np.sum(tp > t))
-        surv[j] = k / n
-        lo[j], hi[j] = _wilson_bounds(k, n, z)
-    return SurvivalCurve(t_grid, surv, lo, hi, n, float(z))
+    k = n - np.where(t_grid <= 0, np.searchsorted(tp, t_grid, "left"), np.searchsorted(tp, t_grid, "right"))
+    lo, hi = _wilson_bounds(k, n, z)
+    return SurvivalCurve(t_grid, k / n, lo, hi, n, float(z))
 
 
 @dataclass(frozen=True)
@@ -285,8 +350,8 @@ def compare_to_theory(records, theory, t_grid) -> ComparisonReport:
     binomial standard error uses the theory probability; points where it
     vanishes score 0 on exact agreement and +-inf otherwise.
     """
-    records = list(records)
-    if not records:
+    table = _as_table(records)
+    if not len(table):
         raise EmptyEnsemble("no records")
     t_grid = np.asarray(t_grid, dtype=float)
     theory = np.asarray(theory, dtype=float)
@@ -298,16 +363,11 @@ def compare_to_theory(records, theory, t_grid) -> ComparisonReport:
         raise ValueError("theory values must lie in [0, 1]")
     scale = theory[0] if t_grid[0] == 0 and theory[0] > 0 else 1.0
     scaled = np.clip(theory / scale, 0.0, 1.0)
-    curve = survival_curve(records, t_grid)
-    n = curve.n
-    sigma = np.sqrt(scaled * (1.0 - scaled) / n)
-    z = np.empty(t_grid.size)
-    for j in range(t_grid.size):
-        diff = curve.survival[j] - scaled[j]
-        if sigma[j] == 0:
-            z[j] = 0.0 if diff == 0 else np.inf * np.sign(diff)
-        else:
-            z[j] = diff / sigma[j]
+    curve = survival_curve(table, t_grid)
+    sigma = np.sqrt(scaled * (1.0 - scaled) / curve.n)
+    diff = curve.survival - scaled
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(sigma == 0, np.where(diff == 0, 0.0, np.copysign(np.inf, diff)), diff / sigma)
     return ComparisonReport(t_grid, curve.survival, scaled, z)
 
 
@@ -316,17 +376,13 @@ def compare_to_theory(records, theory, t_grid) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 def events_to_csv(records, path):
-    rows = ((int(r.index), r.t_prep, r.t_reg, r.t_param) for r in records)
-    _write_csv(path, EVENTS_CSV_HEADER, rows)
+    _write_csv(path, EVENTS_CSV_HEADER, zip(*(c.tolist() for c in _as_table(records).columns())))
 
 
-def events_from_csv(path) -> list[LabEventRecord]:
+def events_from_csv(path) -> EventTable:
     """Parse an events CSV; raises CausalityViolation listing bad indices."""
-    _, (index, t_prep, t_reg, t) = _read_csv(path, EVENTS_CSV_HEADER, (int, float, float, float))
-    bad = [i for i, prep, reg in zip(index, t_prep, t_reg) if reg < prep]
-    if bad:
-        raise CausalityViolation(bad)
-    return list(map(LabEventRecord, index, t_prep, t_reg, t))
+    _, columns = _read_csv(path, EVENTS_CSV_HEADER, (int, float, float, float))
+    return EventTable(*columns)
 
 
 def events_to_json(records) -> str:

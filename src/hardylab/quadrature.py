@@ -47,13 +47,10 @@ class QuadratureSpec:
     method: Method = Method.ADAPTIVE_SIMPSON
     abs_tol: float = 1e-4
     rel_tol: float = 1e-4
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
     def tolerance_for(self, value: complex) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -193,16 +190,17 @@ def rational_line_integral(terms) -> ValueWithError:
 # partial fractions of products of pole sums
 # ---------------------------------------------------------------------------
 
-def _group_poles(poles, rel_tol=1e-12):
-    groups: list[tuple[complex, int]] = []
-    for p in poles:
-        for i, (q, m) in enumerate(groups):
+def _merge_poles(terms, rel_tol=1e-12) -> list:
+    """(coefficient, pole) pairs with the coefficients of coincident poles summed onto the first."""
+    merged: list[tuple[complex, complex]] = []
+    for c, p in terms:
+        for i, (d, q) in enumerate(merged):
             if abs(p - q) <= rel_tol * max(1.0, abs(p), abs(q)):
-                groups[i] = (q, m + 1)
+                merged[i] = (d + c, q)
                 break
         else:
-            groups.append((p, 1))
-    return groups
+            merged.append((c, p))
+    return merged
 
 
 def _pole_product_partial_fractions(coeff: complex, poles) -> list:
@@ -213,7 +211,7 @@ def _pole_product_partial_fractions(coeff: complex, poles) -> list:
     factors; each factor 1/(E-q) contributes the geometric series
     (-1)^n (E-p)^n / (p-q)^{n+1}, and series are multiplied by convolution.
     """
-    groups = _group_poles(list(poles))
+    groups = [(p, m) for m, p in _merge_poles([(1, p) for p in poles])]
     terms = []
     for p, m in groups:
         series = np.zeros(m, dtype=complex)
@@ -246,8 +244,12 @@ def pole_sum_product(factors) -> list:
 
 
 def modulus_squared_terms(model: AnalyticModel, y: float = 0.0) -> list:
-    """Partial fractions of |model(E + i y)|^2 for real E: the poles move to p - i y."""
-    terms = [(c, p - 1j * y) for c, p in model.as_terms()]
+    """Partial fractions of |model(E + i y)|^2 for real E: the poles move to p - i y.
+
+    Terms at coincident poles are merged first, so nearly cancelling
+    coefficients cancel before they are squared.
+    """
+    terms = _merge_poles([(c, p - 1j * y) for c, p in model.as_terms()])
     return pole_sum_product([[(np.conj(c), np.conj(q)) for c, q in terms], terms])
 
 

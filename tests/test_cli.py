@@ -1,5 +1,6 @@
 """CLI contract: exit codes, config precedence, deterministic outputs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -247,6 +248,48 @@ class TestDecay:
         assert result.exit_code == 1
 
 
+def ensemble_outputs(runner, scheme, seed):
+    """sha256 of the events and survival files, compare's exit code and sha256 of its stdout.
+
+    Runs in the current directory with relative paths, so stdout's config
+    echo is the same wherever it runs.
+    """
+    t = np.linspace(0.0, 10.0, 81)
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), np.exp(-0.7 * t).tolist()))
+    Path("theory.csv").write_text("t,p\n" + rows)
+    made = runner.invoke(
+        main,
+        [
+            "ensemble", "--rate", "0.7", "--count", "2000", "--seed", str(seed),
+            "--scheme", scheme, "--t0", "12.5", "--start", "3.0", "--step", "1.25",
+            "--events-out", "events.csv", "--survival-out", "survival.csv",
+        ],
+    )
+    assert made.exit_code == 0, made.output
+    compared = runner.invoke(main, ["compare", "--events", "events.csv", "--theory", "theory.csv"])
+    digest = lambda data: hashlib.sha256(data).hexdigest()[:16]
+    return (
+        digest(Path("events.csv").read_bytes()),
+        digest(Path("survival.csv").read_bytes()),
+        compared.exit_code,
+        digest(compared.stdout.encode()),
+    )
+
+
+# ensemble_outputs as the per-record sampler (one numpy Philox generator per
+# event) and the per-point survival loop produced them
+ENSEMBLE_DIGESTS = {
+    ('simultaneous', 0): ('5b9443ca1abf3135', '2c86658d40bdaef0', 0, '7f1799a3451c0240'),
+    ('simultaneous', 1): ('eddd22639f3ba53a', 'b18eacdf65a2ed0b', 0, 'a4df6055b5fd750f'),
+    ('simultaneous', 12345): ('472bc454eaf03f56', '16551fe1b60b33b8', 0, '2949035ab7bc3c1f'),
+    ('simultaneous', 2**64 - 1): ('5c48ec20b9640261', '22fa5feb71eb0cc5', 0, 'de875364dfd8adc4'),
+    ('sequential', 0): ('67055f5beedd5cbe', '2c86658d40bdaef0', 0, '7f1799a3451c0240'),
+    ('sequential', 1): ('14fa1a321464342b', 'b18eacdf65a2ed0b', 0, 'a4df6055b5fd750f'),
+    ('sequential', 12345): ('75742974279289bd', '16551fe1b60b33b8', 0, '2949035ab7bc3c1f'),
+    ('sequential', 2**64 - 1): ('cef0fb8bf50fbc6e', '22fa5feb71eb0cc5', 0, 'de875364dfd8adc4'),
+}
+
+
 class TestEnsembleAndCompare:
     def test_demo_preset_and_determinism(self, runner, tmp_path):
         args = [
@@ -265,6 +308,11 @@ class TestEnsembleAndCompare:
         surv_lines = (tmp_path / "s1.csv").read_text().splitlines()
         assert surv_lines[0] == "t,survival,err_lo,err_hi"
         assert len(surv_lines) == 151
+
+    @pytest.mark.parametrize("case", list(ENSEMBLE_DIGESTS), ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_outputs_are_byte_identical_to_the_per_record_sampler(self, runner, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        assert ensemble_outputs(runner, *case) == ENSEMBLE_DIGESTS[case]
 
     def test_compare_self_consistent(self, runner, tmp_path):
         ev = tmp_path / "events.csv"

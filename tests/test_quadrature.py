@@ -3,7 +3,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
@@ -311,8 +311,6 @@ class TestOscillatoryIntegral:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=-1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
 
 
 class TestGridWeights:
@@ -493,6 +491,17 @@ def assert_agrees(value, error, ref, ref_error, scale=None):
 class TestResidueSumsMatchQuadpack:
     @settings(max_examples=40, deadline=None)
     @given(model=pole_sets([-1.0]), gamma=st.floats(0.01, 10.0))
+    # two terms at one pole whose coefficients nearly cancel: squared before
+    # merging, the closed form was off by 1.5e-12 relative
+    @example(
+        model=RationalSum(
+            (
+                SimplePole(-0.4352307200188522 - 0.24611830560092732j, -1j),
+                SimplePole(0.4387912809451864 + 0.2397127693021015j, -1j),
+            )
+        ),
+        gamma=1.0,
+    )
     def test_criterion(self, model, gamma):
         result = hardy_criterion(model, HalfPlane.UPPER, [gamma])
         ref, ref_err = quad_complex(
