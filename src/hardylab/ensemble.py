@@ -359,7 +359,7 @@ def compare_to_theory(records, theory, t_grid) -> ComparisonReport:
         raise GridMismatch(
             f"theory curve has {theory.size} points for a grid of {t_grid.size}"
         )
-    if np.any((theory < 0) | (theory > 1)):
+    if np.any(~((theory >= 0) & (theory <= 1))):
         raise ValueError("theory values must lie in [0, 1]")
     scale = theory[0] if t_grid[0] == 0 and theory[0] > 0 else 1.0
     scaled = np.clip(theory / scale, 0.0, 1.0)

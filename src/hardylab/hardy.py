@@ -29,6 +29,7 @@ from .models import AnalyticModel, DampedSine, HalfPlane, RationalSum, SimplePol
 from .quadrature import (
     Method,
     ValueWithError,
+    _rounding_error,
     cauchy_sums,
     cauchy_tail_correction,
     fourier_integral_sampled,
@@ -158,7 +159,7 @@ def titchmarsh_continuation(
     if isinstance(f, AnalyticModel):
         pieces = [c / (z - p) for c, p in f.as_terms() if not hp.contains(p)]
         value = sum(pieces, 0j)
-        error = 1e-13 * max(1.0, sum(abs(v) for v in pieces))
+        error = _rounding_error(abs(v) for v in pieces)
     elif isinstance(f, SampledComplexFunction):
         if f.tail is None:
             raise MissingTailModel("continuation of sampled data needs a tail model")

@@ -126,19 +126,32 @@ def _require_order1_cancellation(terms):
         raise NonDecayingIntegrand("order-1 residues do not cancel; the integral diverges")
 
 
-def rational_halfline_fourier(terms, t: float) -> complex:
-    """int_0^inf e^{-i E t} sum_k c_k / (E - p_k)**m_k dE.
+def _check_time(t: float):
+    """The semigroup contract t >= 0, for finite t only."""
+    if t < 0:
+        raise NegativeTime(f"t = {t} < 0")
+    if not math.isfinite(t):
+        raise ValueError(f"t = {t} is not finite")
+
+
+def _rounding_error(magnitudes) -> float:
+    """The pole route's rounding estimate: 1e-13 of the summed magnitudes of a sum's pieces."""
+    return 1e-13 * max(1.0, sum(magnitudes))
+
+
+def rational_halfline_fourier(terms, t: float) -> ValueWithError:
+    """int_0^inf e^{-i E t} sum_k c_k / (E - p_k)**m_k dE, with its rounding estimate.
 
     Args:
         terms: iterable of (coefficient, pole, order) with order >= 1.
-        t: time, must be >= 0 (semigroup contract).
+        t: time, must be finite and >= 0 (semigroup contract).
 
     At t = 0 the order-1 coefficients must cancel (otherwise the integral
     diverges logarithmically); the finite value is then the log form
-    -sum c_k Log(-p_k) plus the elementary higher-order pieces.
+    -sum c_k Log(-p_k) plus the elementary higher-order pieces.  The error is
+    the rounding estimate of the pieces c_k K_k at t > 0, of the value at t = 0.
     """
-    if t < 0:
-        raise NegativeTime(f"t = {t} < 0")
+    _check_time(t)
     terms = [(complex(c), complex(p), int(m)) for c, p, m in terms]
     for _, p, m in terms:
         if m < 1:
@@ -154,7 +167,8 @@ def rational_halfline_fourier(terms, t: float) -> complex:
                 total += c * (-np.log(-p))
             else:
                 total += c * (-p) ** (1 - m) / (m - 1)
-        return complex(total)
+        value = complex(total)
+        return ValueWithError(value, _rounding_error([abs(value)]))
 
     # K_1 by exponential integral, higher orders by the recurrence
     # K_m = (-p)^{1-m}/(m-1) - (i t/(m-1)) K_{m-1}
@@ -167,7 +181,8 @@ def rational_halfline_fourier(terms, t: float) -> complex:
         for m in range(2, mmax + 1):
             ks.append((-p) ** (1 - m) / (m - 1) - 1j * t / (m - 1) * ks[-1])
         k_cache[p] = ks
-    return complex(sum(c * k_cache[p][m - 1] for c, p, m in terms))
+    value = complex(sum(c * k_cache[p][m - 1] for c, p, m in terms))
+    return ValueWithError(value, _rounding_error(abs(c) * abs(k_cache[p][m - 1]) for c, p, m in terms))
 
 
 def rational_line_integral(terms) -> ValueWithError:
@@ -182,8 +197,7 @@ def rational_line_integral(terms) -> ValueWithError:
             raise PoleOnContinuationLine(f"pole at {p} lies on the integration line")
     _require_order1_cancellation(terms)
     pieces = [1j * np.pi * np.sign(p.imag) * c for c, p, m in terms if m == 1]
-    # the pole route's rounding estimate: 1e-13 of the summed magnitudes of the pieces
-    return ValueWithError(complex(sum(pieces)), 1e-13 * max(1.0, sum(abs(v) for v in pieces)))
+    return ValueWithError(complex(sum(pieces)), _rounding_error(abs(v) for v in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +277,7 @@ def power_tail_fourier(q: int, edge: float, t: float) -> complex:
         raise ValueError("q must be >= 1")
     if edge <= 0:
         raise ValueError("edge must be positive")
-    if t < 0:
-        raise NegativeTime(f"t = {t} < 0")
+    _check_time(t)
     if t == 0:
         if q == 1:
             raise NonDecayingIntegrand("1/E tail does not converge at t = 0")
@@ -692,7 +705,7 @@ def default_energy_grid(poles, n: int, hi: float = 10.0) -> np.ndarray:
 
 
 def oscillatory_integral(g, t: float) -> ValueWithError:
-    """int_0^inf e^{-i E t} g(E) dE for t >= 0.
+    """int_0^inf e^{-i E t} g(E) dE for finite t >= 0.
 
     Rational AnalyticModel input takes the exact pole/residue path via
     exponential integrals, so the error does not grow with t.  Sampled input
@@ -701,17 +714,9 @@ def oscillatory_integral(g, t: float) -> ValueWithError:
     t raises NegativeTime: this is the semigroup boundary, not a numerics
     failure.
     """
-    if t < 0:
-        raise NegativeTime(f"t = {t} < 0")
-
+    _check_time(t)
     if isinstance(g, AnalyticModel):
-        terms = g.as_terms()
-        value = rational_halfline_fourier([(c, p, 1) for c, p in terms], t)
-        if t > 0:
-            scale = sum(abs(c) * abs(pole_fourier_integral(p, t)) for c, p in terms)
-        else:
-            scale = abs(value)
-        return ValueWithError(value, 1e-13 * max(1.0, scale))
+        return rational_halfline_fourier([(c, p, 1) for c, p in g.as_terms()], t)
 
     if not isinstance(g, SampledComplexFunction):
         raise TypeError("g must be an AnalyticModel or SampledComplexFunction")

@@ -110,7 +110,7 @@ class ChannelFunction:
     def norm_squared(self) -> float:
         """int_0^inf |value(E)|^2 dE; the phase drops out of the modulus."""
         if self.is_analytic:
-            return rational_halfline_fourier(modulus_squared_terms(self.base), 0.0).real
+            return rational_halfline_fourier(modulus_squared_terms(self.base), 0.0).value.real
         f = self.base
         lo = np.searchsorted(f.grid, 0.0)
         if lo >= len(f) - 1:

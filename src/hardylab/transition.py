@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,7 +296,8 @@ def _shared_channels(obs, state):
     return sorted(set(obs.channels) & set(state.channels))
 
 
-def _channel_amplitude_quadrature(psi: ChannelFunction, phi: ChannelFunction, s_entry, t_eff):
+def _channel_integrand(psi: ChannelFunction, phi: ChannelFunction, s_entry) -> SampledComplexFunction:
+    """conj(psi)(E) phi(E) S(E) on the quadrature grid, with its E^-2 tail model."""
     poles, hi = [], 10.0
     for fn in (psi, phi):
         if fn.is_analytic:
@@ -310,8 +312,7 @@ def _channel_amplitude_quadrature(psi: ChannelFunction, phi: ChannelFunction, s_
     integrand = np.conj(psi.base_value(grid)) * phi.base_value(grid) * s_entry.value(grid)
     # the wave-function product decays like E^-2; the fitted expansion refines
     c2 = integrand[-1] * grid[-1] ** 2
-    f = SampledComplexFunction(grid, integrand, TailModel(2.0, complex(c2)))
-    return oscillatory_integral(f, t_eff)
+    return SampledComplexFunction(grid, integrand, TailModel(2.0, complex(c2)))
 
 
 def transition_amplitude(
@@ -322,57 +323,8 @@ def transition_amplitude(
     *,
     method: str = "auto",
 ) -> AmplitudeResult:
-    """a(t) = sum_channels int_0^inf e^{-iEt} conj(psi) phi S dE for t >= 0.
-
-    Channels present in only one wave function contribute zero.  With
-    method "auto" the exact pole/residue route is used whenever every factor
-    is rational, otherwise Filon quadrature; "pole_residue" and "quadrature"
-    force the respective route.  The error estimate is a numerical estimate
-    (cancellation-aware for the pole route, Richardson for quadrature).
-    """
-    if obs.kind is not WaveKind.OBSERVABLE:
-        raise ValueError("first argument must be an observable")
-    if state.kind is not WaveKind.STATE:
-        raise ValueError("second argument must be a state")
-    if t < 0:
-        raise NegativeTime(f"t = {t} < 0")
-    if method not in ("auto", "pole_residue", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-
-    shared = _shared_channels(obs, state)
-    if not shared:
-        return AmplitudeResult.from_amplitude(t, 0j, AmplitudeMethod.POLE_RESIDUE, 0.0)
-
-    total = 0j
-    err = 0.0
-    used = AmplitudeMethod.POLE_RESIDUE
-    for ch in shared:
-        psi = obs.channels[ch]
-        phi = state.channels[ch]
-        t_eff = t + phi.phase_time - psi.phase_time
-        if t_eff < 0:
-            raise NegativeTime(f"effective time {t_eff} < 0 in channel {ch}")
-        terms = _channel_rational_terms(psi, phi, s.entry(ch)) if method != "quadrature" else None
-        if terms is not None:
-            value = rational_halfline_fourier(terms, t_eff)
-            # cancellation-aware scale: the sum of magnitudes of the pieces
-            if t_eff > 0:
-                mag = sum(
-                    abs(c) * abs(rational_halfline_fourier([(1, p, m)], t_eff))
-                    for c, p, m in terms
-                )
-            else:
-                mag = abs(value)
-            total += value
-            err += 1e-13 * max(1.0, mag)
-        else:
-            if method == "pole_residue":
-                raise ValueError("pole_residue route needs rational factors throughout")
-            used = AmplitudeMethod.QUADRATURE
-            val, e = _channel_amplitude_quadrature(psi, phi, s.entry(ch), t_eff)
-            total += val
-            err += e
-    return AmplitudeResult.from_amplitude(t, total, used, err)
+    """a(t) at one t >= 0: the one-point case of transition_probability."""
+    return transition_probability(obs, state, s, [t], method=method)[0]
 
 
 def transition_probability(
@@ -383,13 +335,54 @@ def transition_probability(
     *,
     method: str = "auto",
 ) -> list[AmplitudeResult]:
-    """P(t) over a time grid: transition_amplitude at every point."""
+    """a(t) = sum_channels int_0^inf e^{-iEt} conj(psi) phi S dE and P(t) = |a(t)|^2 on a t grid.
+
+    The grid must be finite, nonnegative and nondecreasing.  Channels present
+    in only one wave function contribute zero.  With method "auto" the exact
+    pole/residue route is used whenever every factor is rational, otherwise
+    Filon quadrature; "pole_residue" and "quadrature" force the respective
+    route.  Each channel's terms or integrand is built once for all t.  Error
+    estimates: cancellation-aware on the pole route, Richardson on quadrature.
+    """
+    if obs.kind is not WaveKind.OBSERVABLE:
+        raise ValueError("first argument must be an observable")
+    if state.kind is not WaveKind.STATE:
+        raise ValueError("second argument must be a state")
+    if method not in ("auto", "pole_residue", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
     ts = [float(t) for t in t_grid]
     if any(t < 0 for t in ts):
         raise NegativeTime("t grid contains negative entries")
+    if not all(math.isfinite(t) for t in ts):
+        raise ValueError("t grid must be finite")
     if any(b < a for a, b in zip(ts[:-1], ts[1:])):
         raise ValueError("t grid must be nondecreasing")
-    return [transition_amplitude(obs, state, s, t, method=method) for t in ts]
+
+    # the t-independent part of each channel, evaluated below as kernel(argument, t_eff)
+    channels, used = [], AmplitudeMethod.POLE_RESIDUE
+    for ch in _shared_channels(obs, state):
+        psi, phi = obs.channels[ch], state.channels[ch]
+        terms = _channel_rational_terms(psi, phi, s.entry(ch)) if method != "quadrature" else None
+        if terms is not None:
+            channels.append((ch, psi, phi, rational_halfline_fourier, terms))
+        elif method == "pole_residue":
+            raise ValueError("pole_residue route needs rational factors throughout")
+        else:
+            used = AmplitudeMethod.QUADRATURE
+            channels.append((ch, psi, phi, oscillatory_integral, _channel_integrand(psi, phi, s.entry(ch))))
+
+    results = []
+    for t in ts:
+        total, err = 0j, 0.0
+        for ch, psi, phi, kernel, argument in channels:
+            t_eff = t + phi.phase_time - psi.phase_time
+            if t_eff < 0:
+                raise NegativeTime(f"effective time {t_eff} < 0 in channel {ch}")
+            value, e = kernel(argument, t_eff)
+            total += value
+            err += e
+        results.append(AmplitudeResult.from_amplitude(t, total, used, err))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,75 @@ def decay_config(tmp_path, **overrides):
     return path
 
 
+def _tabulated_breit_wigner(e_r, gamma, e_max, n):
+    """delta(E) with e^{2i delta} = ResonancePole(e_r, gamma), on energies graded toward e_r."""
+    w = gamma / 2.0
+    u = np.linspace(np.arcsinh(-e_r / w), np.arcsinh((e_max - e_r) / w), n)
+    e = e_r + w * np.sinh(u)
+    return {"grid": e.tolist(), "re": np.arctan2(w, e_r - e).tolist(), "im": [0.0] * n}
+
+
+TWO_CHANNELS = [{"l": 0, "l3": 0, "re": 1.0}, {"l": 1, "l3": 0, "re": 1.0}]
+
+# decay_config overrides and extra flags of each decay run
+DECAY_CASES = {
+    "pole-fit": ({}, ["--fit"]),
+    "two-channels": (
+        {
+            "state": {"a": 2.0, "b": 5.0, "coefficients": TWO_CHANNELS},
+            "observable": {"a": 2.0, "b": 1.0, "coefficients": TWO_CHANNELS},
+            "smatrix": {
+                "channels": [{"l": 1, "l3": 0, "kind": "resonance_pole", "params": {"e_r": 2.0, "gamma": 0.5}}]
+            },
+        },
+        [],
+    ),
+    "constant-phase": (
+        {"smatrix": {"channels": [{"l": 0, "l3": 0, "kind": "phase_shift", "params": {"delta": 0.6}}]}},
+        [],
+    ),
+    "quadrature": ({"t_max": 20.0, "t_points": 9}, ["--method", "quadrature"]),
+    "tabulated": (
+        {
+            "t_max": 20.0,
+            "t_points": 9,
+            "smatrix": {
+                "channels": [
+                    {
+                        "l": 0,
+                        "l3": 0,
+                        "kind": "phase_shift",
+                        "params": {"delta_samples": _tabulated_breit_wigner(2.0, 0.2, 260.0, 2001)},
+                    }
+                ]
+            },
+        },
+        [],
+    ),
+}
+
+
+def decay_outputs(runner, case):
+    """sha256 of decay's output CSV and of its stdout, run in the current directory."""
+    overrides, flags = DECAY_CASES[case]
+    decay_config(Path("."), **overrides)
+    result = runner.invoke(main, ["decay", "--config", "decay.json", "-o", "p.csv", *flags])
+    assert result.exit_code == 0, result.output
+    digest = lambda data: hashlib.sha256(data).hexdigest()[:16]
+    return digest(Path("p.csv").read_bytes()), digest(result.stdout.encode())
+
+
+# decay_outputs as the per-point route produced them: transition_amplitude
+# rebuilding each channel's terms or integrand at every t
+DECAY_DIGESTS = {
+    "pole-fit": ("81d983bbecbab1a9", "611701e16ad4cc34"),
+    "two-channels": ("662b60b36b8ff6a0", "0b595602efd9fe2f"),
+    "constant-phase": ("7f9cee727199d763", "24d1cb7c55c16f03"),
+    "quadrature": ("6e90a861f75b552b", "5acd53539307c5eb"),
+    "tabulated": ("b91b305ed9faa2f6", "216e9010c0a44238"),
+}
+
+
 class TestKkCheck:
     def test_causal_fixture_passes(self, runner, lorentzian_csv, tmp_path):
         path, _ = lorentzian_csv
@@ -247,6 +316,20 @@ class TestDecay:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("t_max", ["inf", "nan"])
+    def test_non_finite_range_exit_1(self, runner, tmp_path, t_max):
+        cfg = decay_config(tmp_path, t_points=3)
+        out = tmp_path / "p.csv"
+        result = runner.invoke(main, ["decay", "--config", str(cfg), "--t-max", t_max, "-o", str(out)])
+        assert result.exit_code == 1
+        assert "finite" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(DECAY_CASES))
+    def test_outputs_are_byte_identical_to_the_per_point_route(self, runner, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        assert decay_outputs(runner, case) == DECAY_DIGESTS[case]
+
 
 def ensemble_outputs(runner, scheme, seed):
     """sha256 of the events and survival files, compare's exit code and sha256 of its stdout.
@@ -356,6 +439,18 @@ class TestEnsembleAndCompare:
             main, ["compare", "--events", str(ev), "--theory", str(theory)]
         )
         assert result.exit_code == 2
+
+    def test_nan_theory_exit_1(self, runner, tmp_path):
+        ev = tmp_path / "events.csv"
+        made = runner.invoke(
+            main, ["ensemble", "--rate", "0.5", "--count", "10", "--seed", "3", "--events-out", str(ev)]
+        )
+        assert made.exit_code == 0, made.output
+        theory = tmp_path / "theory.csv"
+        theory.write_text("t,p\n0.0,1.0\n1.0,nan\n")
+        result = runner.invoke(main, ["compare", "--events", str(ev), "--theory", str(theory)])
+        assert result.exit_code == 1
+        assert "theory values must lie in [0, 1]" in result.output
 
     def test_tampered_events_exit_2_with_indices(self, runner, tmp_path):
         ev = tmp_path / "events.csv"

@@ -196,6 +196,11 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_to_theory(recs, np.array([1.5]), np.array([0.0]))
 
+    def test_nan_theory_is_rejected(self):
+        recs = map_to_parameter_time([(0, 1), (0, 2)])
+        with pytest.raises(ValueError, match=r"theory values must lie in \[0, 1\]"):
+            compare_to_theory(recs, [1.0, np.nan], [0.0, 1.0])
+
     def test_theory_rescaled_by_value_at_zero(self):
         recs = sample_decay_ensemble(0.5, 5000, SimultaneousScheme(0.0), seed=12)
         t = np.linspace(0.0, 6.0, 25)
@@ -417,13 +422,23 @@ class TestEventsCsv:
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_demo_04_runs(tmp_path):
+# one line each demo prints when its result holds
+DEMO_KEY_LINES = {
+    "01_hardy_pairs_and_criterion": "verdict: pass (pass)",
+    "02_dispersion_relations": "acausal residual: 2.000e+00",
+    "03_semigroup_and_decay": "verdict 'diverges'",
+    "04_ensemble_statistics": "identical across schemes: True",
+}
+
+
+@pytest.mark.parametrize("demo", list(DEMO_KEY_LINES))
+def test_demo_runs(tmp_path, demo):
     root = Path(__file__).resolve().parents[1]
     src = str(root / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
-        [sys.executable, str(root / "demos" / "04_ensemble_statistics.py")],
+        [sys.executable, str(root / "demos" / f"{demo}.py")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert "identical across schemes: True" in result.stdout
+    assert DEMO_KEY_LINES[demo] in result.stdout

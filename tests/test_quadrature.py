@@ -110,7 +110,7 @@ class TestRationalHalflineFourier:
         # elementary antiderivative: (1/c) [arctan((E-a)/c)]_0^inf, c = 1/2
         terms = [(c, p, 1) for c, p in lorentzian_model(2.0, 1.0).as_terms()]
         expected = 2.0 * (np.pi / 2.0 + np.arctan(4.0))
-        assert abs(rational_halfline_fourier(terms, 0.0) - expected) < 1e-12
+        assert abs(rational_halfline_fourier(terms, 0.0).value - expected) < 1e-12
 
     def test_double_pole_vs_brute(self):
         q = 2 + 2.5j
@@ -118,7 +118,7 @@ class TestRationalHalflineFourier:
         t = 7.0
         ref = simpson(np.exp(-1j * e * t) / (e - q) ** 2, x=e)
         ref += np.exp(-4000.0 * 1j * t) / (4000.0 - q) ** 2 / (1j * t)
-        assert abs(rational_halfline_fourier([(1.0, q, 2)], t) - ref) < 1e-6
+        assert abs(rational_halfline_fourier([(1.0, q, 2)], t).value - ref) < 1e-6
 
     def test_t0_divergence_detected(self):
         with pytest.raises(NonDecayingIntegrand):
@@ -127,6 +127,39 @@ class TestRationalHalflineFourier:
     def test_negative_time_rejected(self):
         with pytest.raises(NegativeTime):
             rational_halfline_fourier([(1.0, 2 + 0.5j, 1)], -0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="not finite"):
+            rational_halfline_fourier([(1.0, 2 + 0.5j, 1)], t)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        poles=st.lists(
+            st.complex_numbers(max_magnitude=6.0).filter(lambda p: abs(p.imag) >= 0.05), min_size=1, max_size=3
+        ),
+        picks=st.lists(
+            st.tuples(
+                st.integers(0, 2), st.integers(1, 3), st.complex_numbers(max_magnitude=5.0, allow_subnormal=False)
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        t=st.one_of(st.just(0.0), st.floats(1e-3, 60.0)),
+    )
+    def test_estimate_equals_per_term_loop(self, poles, picks, t):
+        # repeated poles: several picks may name the same pole, at equal or different orders
+        terms = [(c, poles[i % len(poles)], m) for i, m, c in picks]
+        if t == 0:
+            # the t = 0 log form needs the order-1 coefficients to cancel
+            terms.append((-sum(c for c, _, m in terms if m == 1), poles[0], 1))
+        value, error = rational_halfline_fourier(terms, t)
+        # the estimate as a loop of one-term kernel calls, one per term
+        if t > 0:
+            mag = sum(abs(c) * abs(rational_halfline_fourier([(1, p, m)], t).value) for c, p, m in terms)
+        else:
+            mag = abs(value)
+        assert error == 1e-13 * max(1.0, mag)
 
 
 class TestRationalLineIntegral:
@@ -271,6 +304,13 @@ class TestOscillatoryIntegral:
     def test_negative_time(self):
         with pytest.raises(NegativeTime):
             oscillatory_integral(SimplePole(1, 2 + 0.5j), -1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        model = lorentzian_model(2.0, 1.0)
+        for g in (model, model.sample(np.linspace(0.0, 102.0, 1025))):
+            with pytest.raises(ValueError, match="not finite"):
+                oscillatory_integral(g, t)
 
     def test_sampled_needs_decaying_tail(self):
         grid = np.linspace(0, 50, 512)

@@ -293,6 +293,33 @@ class TestTransitionProbability:
         with pytest.raises(ValueError):
             transition_probability(obs, state, SMatrixModel.unit(), [2.0, 1.0])
 
+    @pytest.mark.parametrize("t_grid", [[0.0, np.nan], [np.inf], [0.0, 1.0, np.inf]])
+    def test_grid_must_be_finite(self, t_grid):
+        obs, state = fixtures()
+        with pytest.raises(ValueError, match="finite"):
+            transition_probability(obs, state, SMatrixModel.unit(), t_grid)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_amplitude_rejects_non_finite_time(self, t):
+        obs, state = fixtures()
+        with pytest.raises(ValueError, match="finite"):
+            transition_amplitude(obs, state, SMatrixModel.unit(), t)
+
+    @pytest.mark.parametrize("method, builder", [("pole_residue", "pole_sum_product"), ("quadrature", "default_energy_grid")])
+    def test_each_channel_is_prepared_once(self, monkeypatch, method, builder):
+        import hardylab.transition as tr
+
+        spec = LorentzianSpec(2.0, 1.0, {Channel(0, 0): 1.0, Channel(1, 0): 1.0})
+        s = SMatrixModel({Channel(1, 0): ResonancePole(2.0, 0.5)})
+        calls = []
+        build = getattr(tr, builder)
+        monkeypatch.setattr(tr, builder, lambda *args: calls.append(args) or build(*args))
+        results = transition_probability(
+            make_lorentzian_observable(spec), make_lorentzian_state(spec), s, [0.0, 0.5, 3.0, 12.0], method=method
+        )
+        assert len(results) == 4
+        assert len(calls) == 2  # one per shared channel, not one per channel and t
+
 
 class TestDecayRate:
     def test_resonance_rate_recovered(self):
